@@ -189,7 +189,9 @@ fn bench_telemetry_pmap_overhead(c: &mut Criterion) {
 /// `NullTelemetry` wrapper) against `compile_with` + `Recorder` on a warm
 /// cache, where per-call cost is just key hash + shard lock + `Arc`
 /// clone and any residual instrumentation cost would be proportionally
-/// largest.
+/// largest.  A third case times the hit where the key costs most: the
+/// largest workload program at the paper's size (`espresso`, 2048) with
+/// a training profile source, so the key covers two whole programs.
 fn bench_telemetry_cache_hit_overhead(c: &mut Criterion) {
     let w = psb_workloads::by_name("grep", 3, 256).unwrap();
     let profile = ScalarMachine::new(&w.program, ScalarConfig::default())
@@ -210,6 +212,20 @@ fn bench_telemetry_cache_hit_overhead(c: &mut Criterion) {
     g.bench_function("recorder", |b| {
         let tel = Recorder::new(false);
         b.iter(|| black_box(compile_with(black_box(&req), &cache, &tel).unwrap()))
+    });
+    let eval = psb_workloads::by_name("espresso", 3, 2048).unwrap();
+    let train = psb_workloads::by_name("espresso", 5, 2048).unwrap();
+    let req = CompileRequest {
+        program: &eval.program,
+        profile: ProfileSource::Train {
+            program: &train.program,
+            config: ScalarConfig::default(),
+        },
+        sched: SchedConfig::new(Model::RegionPred),
+    };
+    psb_compile::compile(&req, &cache).unwrap(); // warm
+    g.bench_function("espresso_2048_train", |b| {
+        b.iter(|| black_box(psb_compile::compile(black_box(&req), &cache).unwrap()))
     });
     g.finish();
 }

@@ -16,7 +16,9 @@
 //! hit/miss counters deterministic — a sweep with N distinct points
 //! records exactly N misses at *any* `--jobs` count — which CI relies on.
 //! A failed compile removes the marker and wakes the waiters, who retry
-//! (and re-fail) themselves.
+//! (and re-fail) themselves; so does a compile that panics, so a
+//! scheduler bug fails each request that reaches it instead of parking
+//! every later lookup of the key forever.
 //!
 //! Eviction is FIFO per shard, only used by bounded caches (the fuzz
 //! harness caps its cache so million-case sweeps stay in memory); the
@@ -27,7 +29,7 @@ use psb_scalar::EdgeProfile;
 use psb_telemetry::Telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Shard count; keys are avalanched, so low bits select uniformly.
 pub const SHARD_COUNT: usize = 8;
@@ -204,7 +206,9 @@ impl<V: Clone> SingleFlight<V> {
         shard.misses.fetch_add(1, Ordering::Relaxed);
         drop(st);
 
+        let unwinding = ReleaseOnUnwind { shard, key };
         let result = compute();
+        std::mem::forget(unwinding);
 
         let lock_start = tel.now_ns();
         let mut st = shard.state.lock().expect("cache shard poisoned");
@@ -235,12 +239,37 @@ impl<V: Clone> SingleFlight<V> {
     }
 }
 
+/// Armed while a miss computes: if `compute` unwinds, the drop removes
+/// the key's `Pending` marker and wakes the waiters, as a failed compute
+/// does, so they retry instead of parking on a marker nobody resolves.
+/// The normal return path disarms it with `mem::forget`.
+struct ReleaseOnUnwind<'a, V> {
+    shard: &'a Shard<V>,
+    key: u64,
+}
+
+impl<V> Drop for ReleaseOnUnwind<'_, V> {
+    fn drop(&mut self) {
+        // The lock is not held across `compute`, so this unwind did not
+        // poison it.  Another thread's poisoning is tolerated: panicking
+        // here, while unwinding, would abort the process.
+        let mut st = self
+            .shard
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        st.map.remove(&self.key);
+        self.shard.ready.notify_all();
+    }
+}
+
 /// A training profile memo entry: the profile plus what producing it
 /// cost, so cache-served compiles report the original stage timing.
 #[derive(Clone, Debug)]
 pub(crate) struct ProfileEntry {
-    /// The recorded edge profile.
-    pub profile: EdgeProfile,
+    /// The recorded edge profile, shared by every artifact compiled
+    /// from it.
+    pub profile: Arc<EdgeProfile>,
     /// Wall seconds of the scalar training run (rounded).
     pub seconds: f64,
     /// Dynamic branches the run recorded.
@@ -416,6 +445,34 @@ mod tests {
         // The key is retryable, not wedged.
         assert_eq!(get::<_, &str>(&sf, 7, || Ok(42)), Ok(42));
         assert_eq!(get::<_, &str>(&sf, 7, || Ok(0)), Ok(42));
+    }
+
+    #[test]
+    fn a_panicking_compute_releases_the_pending_marker() {
+        let sf: Arc<SingleFlight<u64>> = Arc::new(SingleFlight::new(None));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            get::<_, ()>(&sf, 5, || panic!("compute panicked"))
+        }));
+        assert!(caught.is_err(), "the panic reaches the caller");
+        // A stranded marker would park this lookup forever, so it runs on
+        // its own thread, joined only once it has answered in time.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sf2 = Arc::clone(&sf);
+        let lookup = std::thread::spawn(move || {
+            let mut reran = 0;
+            let v = get::<_, ()>(&sf2, 5, || {
+                reran += 1;
+                Ok(42)
+            });
+            tx.send((v, reran)).expect("the test is waiting");
+        });
+        let (v, reran) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("second lookup parked behind the panicked compute's marker");
+        lookup.join().expect("lookup thread");
+        assert_eq!(v, Ok(42));
+        assert_eq!(reran, 1, "the second lookup runs compute again");
+        assert_eq!(sf.misses(), 2);
     }
 
     #[test]

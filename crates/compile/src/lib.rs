@@ -22,7 +22,8 @@
 //! product is an immutable [`CompiledArtifact`] carrying everything a
 //! consumer needs to *run* the program — including the decoded arena, so
 //! machine construction no longer re-lowers per run — plus per-stage
-//! wall timings ([`CompileStats`]) and a stable content hash.
+//! wall timings ([`CompileStats`]) and a stable [`ContentHash`], computed
+//! on first read.
 //!
 //! [`compile`] memoizes through a shared [`ArtifactCache`] keyed by the
 //! request's content ([`CompileRequest::key`]): a (workload × model ×
@@ -38,12 +39,12 @@ mod hash;
 mod store;
 
 pub use cache::{ArtifactCache, CacheStats, ShardStats, SHARD_COUNT};
-pub use hash::{hash_fields, DebugHasher};
 pub use store::{
     decode_artifact, encode_artifact, DiskStore, StoreError, StoreStats, STORE_VERSION,
 };
 
 use cache::ProfileEntry;
+use hash::{word_hash, DebugHasher};
 use psb_core::{
     BatchReport, BatchedMachine, DecodedProgram, MachineConfig, TraceSink, VliwError, VliwMachine,
     VliwResult,
@@ -53,7 +54,7 @@ use psb_scalar::{EdgeProfile, ScalarConfig, ScalarMachine};
 use psb_sched::{schedule, SchedConfig, SchedError, ScheduleStats};
 use psb_telemetry::{round_us, NullTelemetry, Telemetry};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// One stage of the compilation pipeline, in execution order.
@@ -95,7 +96,7 @@ impl fmt::Display for Stage {
 /// run, the bench kernels' cross-check run) hand the byproduct profile
 /// over via [`ProfileSource::Provided`] instead of paying for a second
 /// scalar execution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub enum ProfileSource<'a> {
     /// Run this training program under this configuration and use the
     /// recorded edge profile.
@@ -128,40 +129,28 @@ pub struct CompileRequest<'a> {
 impl CompileRequest<'_> {
     /// The request's content-derived cache key.
     ///
-    /// Two requests collide iff their program, profile source and
-    /// scheduling configuration render identically — all three types have
-    /// deterministic `Debug` output (plain scalars, `Vec`s and
-    /// `BTreeSet`s), so the key is stable across runs, hosts and thread
-    /// counts.  The machine configuration is deliberately *not* part of
-    /// the key: the same artifact serves every engine and penalty setting.
+    /// The derived `Hash` words of the program, the profile source and
+    /// the scheduling configuration, one word per integer, through the
+    /// crate's fixed-seed word hasher: a single differing word always
+    /// changes the key, and the key is the same on every run, thread
+    /// count and process built by one toolchain for one target (it also
+    /// names `.psba` store files).  The machine configuration is
+    /// deliberately *not* part of the key: the same artifact serves every
+    /// engine and penalty setting.
     pub fn key(&self) -> u64 {
-        let mut h = DebugHasher::new();
-        h.field(&"compile-request-v1");
-        h.field(self.program);
-        match &self.profile {
-            ProfileSource::Train { program, config } => {
-                h.field(&"train");
-                h.field(program);
-                h.field(config);
-            }
-            ProfileSource::Provided(profile) => {
-                h.field(&"provided");
-                h.field(profile);
-            }
-        }
-        h.field(&self.sched);
-        h.finish()
+        word_hash(&(
+            "compile-request-v2",
+            self.program,
+            &self.profile,
+            &self.sched,
+        ))
     }
 
     /// The memo key of the profile stage alone (training program ×
     /// scalar configuration), shared by every model compiled from the
     /// same training run.
     fn profile_key(program: &ScalarProgram, config: &ScalarConfig) -> u64 {
-        let mut h = DebugHasher::new();
-        h.field(&"profile-stage-v1");
-        h.field(program);
-        h.field(config);
-        h.finish()
+        word_hash(&("profile-stage-v2", program, config))
     }
 }
 
@@ -225,25 +214,91 @@ impl CompileStats {
     }
 }
 
+/// An artifact's published content hash, computed on first read.
+///
+/// FNV-1a over the `Debug` renderings of the scheduled program, the
+/// profile and the scheduling configuration (its resources once more on
+/// their own), tagged `artifact-v1`.  The value is frozen: `/run`
+/// responses, `repro compile`, `psbsim` and `.psba` headers publish it.
+/// Rendering a paper-sized program costs hundreds of microseconds, so
+/// only callers that read the hash pay for it.  It keeps shared handles
+/// to its inputs — the artifact's own program and profile — and the
+/// artifact's scheduling configuration, so it computes itself wherever
+/// it is read: formatted (`{:016x}`) or through [`get`](Self::get).
+#[derive(Clone)]
+pub struct ContentHash {
+    value: OnceLock<u64>,
+    program: Arc<VliwProgram>,
+    profile: Arc<EdgeProfile>,
+    sched: SchedConfig,
+}
+
+impl ContentHash {
+    pub(crate) fn new(
+        program: Arc<VliwProgram>,
+        profile: Arc<EdgeProfile>,
+        sched: SchedConfig,
+    ) -> ContentHash {
+        ContentHash {
+            value: OnceLock::new(),
+            program,
+            profile,
+            sched,
+        }
+    }
+
+    /// The hash value, computed on the first call.
+    pub fn get(&self) -> u64 {
+        *self.value.get_or_init(|| {
+            let mut h = DebugHasher::new();
+            h.field(&"artifact-v1");
+            h.field(&*self.program);
+            h.field(&*self.profile);
+            h.field(&self.sched);
+            h.field(&self.sched.resources);
+            h.finish()
+        })
+    }
+}
+
+impl PartialEq for ContentHash {
+    fn eq(&self, other: &ContentHash) -> bool {
+        self.get() == other.get()
+    }
+}
+
+impl fmt::Debug for ContentHash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}", self.get())
+    }
+}
+
+impl fmt::LowerHex for ContentHash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::LowerHex::fmt(&self.get(), f)
+    }
+}
+
 /// The immutable product of a compilation.
 ///
 /// Bundles everything downstream consumers need: the profile that guided
 /// scheduling, the scheduled program with its static statistics, the
 /// pre-decoded issue arena (shared via `Arc`, so machines borrow it
-/// instead of re-lowering), per-stage [`CompileStats`], and a stable
-/// content hash over the semantic payload.
+/// instead of re-lowering), per-stage [`CompileStats`], and the
+/// [`ContentHash`] over the semantic payload.
 #[derive(Clone, Debug)]
 pub struct CompiledArtifact {
     /// The [`CompileRequest::key`] this artifact answers.
     pub request_key: u64,
     /// Content hash over program + profile + scheduling configuration
     /// (including resources) — stable across runs and hosts; excludes
-    /// the host-dependent [`CompileStats`].
-    pub content_hash: u64,
-    /// The profile that guided scheduling.
-    pub profile: EdgeProfile,
-    /// The scheduled VLIW program.
-    pub program: VliwProgram,
+    /// the host-dependent [`CompileStats`].  Computed on first read.
+    pub content_hash: ContentHash,
+    /// The profile that guided scheduling (shared with the profile memo
+    /// and the content hash).
+    pub profile: Arc<EdgeProfile>,
+    /// The scheduled VLIW program (shared with the content hash).
+    pub program: Arc<VliwProgram>,
     /// Static schedule statistics (words, regions, op mix, utilisation).
     pub sched_stats: ScheduleStats,
     /// The pre-decoded issue arena, decoded exactly once per artifact.
@@ -346,13 +401,13 @@ fn profile_stage<T: Telemetry>(
             let seconds = round_us(elapsed.as_secs_f64());
             let branches = result.edge_profile.total();
             Ok(ProfileEntry {
-                profile: result.edge_profile,
+                profile: Arc::new(result.edge_profile),
                 seconds,
                 branches,
             })
         }
         ProfileSource::Provided(profile) => Ok(ProfileEntry {
-            profile: (*profile).clone(),
+            profile: Arc::new((*profile).clone()),
             seconds: 0.0,
             branches: profile.total(),
         }),
@@ -360,16 +415,16 @@ fn profile_stage<T: Telemetry>(
 }
 
 /// Runs the schedule and decode stages over a resolved profile and
-/// assembles the artifact, with one span and one `compile.*_ns` sample
-/// per stage.  Both stages run only on an artifact-cache miss, so the
-/// record counts are jobs-deterministic.
+/// assembles the artifact answering `request_key` (`req.key()`, computed
+/// once by the caller), with one span and one `compile.*_ns` sample per
+/// stage.  Both stages run only on an artifact-cache miss, so the record
+/// counts are jobs-deterministic.
 fn finish_compile<T: Telemetry>(
     req: &CompileRequest<'_>,
+    request_key: u64,
     entry: &ProfileEntry,
     tel: &T,
 ) -> Result<CompiledArtifact, CompileError> {
-    let request_key = req.key();
-
     let sp = tel.span("compile", || format!("schedule:{request_key:016x}"));
     let start = Instant::now();
     let program = schedule(req.program, &entry.profile, &req.sched)?;
@@ -387,18 +442,15 @@ fn finish_compile<T: Telemetry>(
     let decode_seconds = round_us(elapsed.as_secs_f64());
 
     let sched_stats = ScheduleStats::analyze(&program);
-
-    let mut h = DebugHasher::new();
-    h.field(&"artifact-v1");
-    h.field(&program);
-    h.field(&entry.profile);
-    h.field(&req.sched);
-    h.field(&req.sched.resources);
-    let content_hash = h.finish();
+    let program = Arc::new(program);
 
     Ok(CompiledArtifact {
         request_key,
-        content_hash,
+        content_hash: ContentHash::new(
+            Arc::clone(&program),
+            Arc::clone(&entry.profile),
+            req.sched.clone(),
+        ),
         stats: CompileStats {
             profile_seconds: entry.seconds,
             schedule_seconds,
@@ -407,7 +459,7 @@ fn finish_compile<T: Telemetry>(
             words: program.words.len(),
             slots: decoded.slots.len(),
         },
-        profile: entry.profile.clone(),
+        profile: Arc::clone(&entry.profile),
         program,
         sched_stats,
         decoded,
@@ -448,14 +500,16 @@ pub fn compile_with<T: Telemetry>(
     cache: &ArtifactCache,
     tel: &T,
 ) -> Result<Arc<CompiledArtifact>, CompileError> {
-    cache.artifact(req.key(), tel, || compile_miss(req, cache, tel))
+    let key = req.key();
+    cache.artifact(key, tel, || compile_miss(req, key, cache, tel))
 }
 
 /// The artifact-cache miss path shared by [`compile_with`] and
 /// [`compile_stored`]: resolve the (separately memoized) profile stage,
-/// then schedule and decode.
+/// then schedule and decode the artifact for `key` (`req.key()`).
 fn compile_miss<T: Telemetry>(
     req: &CompileRequest<'_>,
+    key: u64,
     cache: &ArtifactCache,
     tel: &T,
 ) -> Result<Arc<CompiledArtifact>, CompileError> {
@@ -467,7 +521,7 @@ fn compile_miss<T: Telemetry>(
         }
         ProfileSource::Provided(_) => Arc::new(profile_stage(&req.profile, tel)?),
     };
-    finish_compile(req, &entry, tel).map(Arc::new)
+    finish_compile(req, key, &entry, tel).map(Arc::new)
 }
 
 /// Where [`compile_stored`] found the artifact it returned.
@@ -514,15 +568,16 @@ pub fn compile_stored<T: Telemetry>(
     tel: &T,
 ) -> Result<(Arc<CompiledArtifact>, ArtifactSource), CompileError> {
     let source = std::cell::Cell::new(ArtifactSource::Memory);
-    let artifact = cache.artifact(req.key(), tel, || -> Result<_, CompileError> {
+    let key = req.key();
+    let artifact = cache.artifact(key, tel, || -> Result<_, CompileError> {
         if let Some(store) = store {
-            if let Ok(Some(artifact)) = store.load(req, tel) {
+            if let Ok(Some(artifact)) = store.load(key, &req.sched, tel) {
                 source.set(ArtifactSource::Disk);
                 return Ok(artifact);
             }
         }
         source.set(ArtifactSource::Compiled);
-        let artifact = compile_miss(req, cache, tel)?;
+        let artifact = compile_miss(req, key, cache, tel)?;
         if let Some(store) = store {
             // Best-effort persist: an unwritable store must not fail
             // the request; the failure is counted in StoreStats.
@@ -543,5 +598,5 @@ pub fn compile_stored<T: Telemetry>(
 /// [`CompileError`] from whichever stage failed.
 pub fn compile_fresh(req: &CompileRequest<'_>) -> Result<CompiledArtifact, CompileError> {
     let entry = profile_stage(&req.profile, &NullTelemetry)?;
-    finish_compile(req, &entry, &NullTelemetry)
+    finish_compile(req, req.key(), &entry, &NullTelemetry)
 }

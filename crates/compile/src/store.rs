@@ -3,8 +3,9 @@
 //! The in-memory [`ArtifactCache`](crate::ArtifactCache) dies with its
 //! process; a server restarted between identical request mixes would pay
 //! every compile again.  The `DiskStore` persists compiled artifacts
-//! sccache-style — one file per [`CompileRequest::key`] — and is
-//! consulted between the memory cache and a fresh compile by
+//! sccache-style — one file per
+//! [`CompileRequest::key`](crate::CompileRequest::key) — and is consulted
+//! between the memory cache and a fresh compile by
 //! [`compile_stored`](crate::compile_stored).
 //!
 //! # File format (`{request_key:016x}.psba`)
@@ -16,7 +17,7 @@
 //!   content_hash u64 LE
 //!   payload_len  u64 LE
 //!   payload      edge profile + VLIW program     (codec below)
-//!   checksum     u64 LE, FNV-1a over payload
+//!   checksum     u64 LE, FNV-1a over the payload bytes only
 //! ```
 //!
 //! The payload carries only the two inputs that are expensive to
@@ -24,33 +25,39 @@
 //! [`VliwProgram`].  Everything else re-derives on load: the decoded
 //! issue arena (`DecodedProgram::decode` + `validate_dispatch`), the
 //! static [`ScheduleStats`], and the branch count.  Stage wall timings
-//! are zeroed — a disk hit did no compile work.
+//! are zeroed — a disk hit did no compile work.  The header fields are
+//! not under the checksum; each is checked on its own below.
 //!
 //! # Validation-on-load and invalidation
 //!
 //! A load is accepted only if the magic/version match, the payload
 //! checksum verifies, the stored `request_key` equals the requesting
-//! key, the *recomputed* content hash (over the decoded program, the
-//! decoded profile and the request's scheduling configuration) equals
-//! the stored one, and the decoded arena passes `validate_dispatch`.
-//! Any failure is a typed [`StoreError`] — never a panic — and the
-//! caller falls back to a fresh compile, whose save then overwrites the
-//! bad file.  Invalidation is therefore implicit: a codec change bumps
+//! key, the content hash *recomputed* over the decoded program, the
+//! decoded profile and the request's scheduling configuration (by the
+//! same [`ContentHash`] that artifacts compute lazily) equals the
+//! stored one, and the decoded arena passes `validate_dispatch`.  Any
+//! failure is a typed [`StoreError`] — never a panic — and the caller
+//! falls back to a fresh compile, whose save then overwrites the bad
+//! file.  Invalidation is therefore implicit: a codec change bumps
 //! `STORE_VERSION`, and a scheduler change alters the content hash, so
-//! stale files read as errors and self-heal.
+//! stale files read as errors and self-heal.  A change of the request
+//! key's derivation (its tag, or the toolchain's derived `Hash` words)
+//! needs no version bump: the file layout is unchanged, and files under
+//! old keys are simply never looked up again — orphans, which a
+//! size-capped store evicts as its oldest files.
 //!
 //! Writes go to a process-unique temp file followed by a rename, so a
 //! concurrent reader in another process sees either the old complete
 //! file or the new complete file, never a torn one.
 
-use crate::{CompileRequest, CompileStats, CompiledArtifact, DebugHasher};
+use crate::{CompileStats, CompiledArtifact, ContentHash};
 use psb_core::DecodedProgram;
 use psb_isa::{
     AluOp, BlockId, CmpOp, CondReg, MemImage, MemTag, MultiOp, Op, PredTerm, Predicate, Reg, Slot,
     SlotOp, Src, VliwProgram, MAX_CONDS, NUM_REGS,
 };
 use psb_scalar::EdgeProfile;
-use psb_sched::ScheduleStats;
+use psb_sched::{SchedConfig, ScheduleStats};
 use psb_telemetry::{names, Telemetry};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -232,7 +239,11 @@ impl DiskStore {
         }
     }
 
-    /// Looks up the persisted artifact for `req`, fully validating it.
+    /// Looks up the persisted artifact for the request with key `key`
+    /// ([`CompileRequest::key`](crate::CompileRequest::key)) and
+    /// scheduling configuration `sched`, fully validating it (see
+    /// [`decode_artifact`]).  The caller passes the key it already
+    /// computed for the memory cache.
     ///
     /// `Ok(None)` means no file exists for the key (a clean miss).
     ///
@@ -242,10 +253,10 @@ impl DiskStore {
     /// caller should recompile (and its save will overwrite the file).
     pub fn load<T: Telemetry>(
         &self,
-        req: &CompileRequest<'_>,
+        key: u64,
+        sched: &SchedConfig,
         tel: &T,
     ) -> Result<Option<Arc<CompiledArtifact>>, StoreError> {
-        let key = req.key();
         let path = self.path_for(key);
         let start = Instant::now();
         let bytes = match std::fs::read(&path) {
@@ -264,7 +275,7 @@ impl DiskStore {
                 });
             }
         };
-        match decode_artifact(&bytes, req) {
+        match decode_artifact(&bytes, key, sched) {
             Ok(artifact) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 tel.counter(names::STORE_HITS, 1);
@@ -378,21 +389,24 @@ pub fn encode_artifact(artifact: &CompiledArtifact) -> Vec<u8> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&STORE_VERSION.to_le_bytes());
     out.extend_from_slice(&artifact.request_key.to_le_bytes());
-    out.extend_from_slice(&artifact.content_hash.to_le_bytes());
+    out.extend_from_slice(&artifact.content_hash.get().to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
     out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
     out
 }
 
-/// Decodes and fully validates a `.psba` byte image against `req`.
+/// Decodes and fully validates a `.psba` byte image against the request
+/// with key `key` ([`CompileRequest::key`](crate::CompileRequest::key))
+/// and scheduling configuration `sched`.
 ///
 /// # Errors
 ///
 /// [`StoreError`] describing the first validation failure.
 pub fn decode_artifact(
     bytes: &[u8],
-    req: &CompileRequest<'_>,
+    key: u64,
+    sched: &SchedConfig,
 ) -> Result<CompiledArtifact, StoreError> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.bytes(4)? != MAGIC {
@@ -403,10 +417,9 @@ pub fn decode_artifact(
         return Err(StoreError::Version(version));
     }
     let stored_key = r.u64()?;
-    let requested = req.key();
-    if stored_key != requested {
+    if stored_key != key {
         return Err(StoreError::KeyMismatch {
-            requested,
+            requested: key,
             stored: stored_key,
         });
     }
@@ -427,20 +440,16 @@ pub fn decode_artifact(
         buf: payload,
         pos: 0,
     };
-    let profile = p.read_profile()?;
-    let program = p.read_program()?;
+    let profile = Arc::new(p.read_profile()?);
+    let program = Arc::new(p.read_program()?);
     p.end()?;
 
-    // Recompute the content hash exactly as `finish_compile` does; a
+    // Recompute the content hash with the artifact's own accessor; a
     // mismatch means the payload is not the artifact this request would
     // compile today (scheduler drift, profile drift, or plain bit rot).
-    let mut h = DebugHasher::new();
-    h.field(&"artifact-v1");
-    h.field(&program);
-    h.field(&profile);
-    h.field(&req.sched);
-    h.field(&req.sched.resources);
-    let actual_hash = h.finish();
+    // The artifact keeps the checked value.
+    let content_hash = ContentHash::new(Arc::clone(&program), Arc::clone(&profile), sched.clone());
+    let actual_hash = content_hash.get();
     if actual_hash != stored_hash {
         return Err(StoreError::ContentHash {
             stored: stored_hash,
@@ -461,7 +470,7 @@ pub fn decode_artifact(
     };
     Ok(CompiledArtifact {
         request_key: stored_key,
-        content_hash: stored_hash,
+        content_hash,
         profile,
         program,
         sched_stats,

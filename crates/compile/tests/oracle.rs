@@ -3,14 +3,16 @@
 //! must be byte-equal to one produced by the uncached `compile_fresh`
 //! path — same content hash, same program, same decoded arena — and the
 //! two paths must agree on failures too.  Also proves the request keys
-//! of the seven models never collide on one program.
+//! of the seven models never collide on one program, and that the key
+//! sees every field of a request.
 
 use proptest::prelude::*;
 use psb_compile::{
     compile, compile_fresh, ArtifactCache, CompileError, CompileRequest, ProfileSource,
 };
 use psb_fuzz::gen_case;
-use psb_scalar::{ScalarConfig, ScalarMachine};
+use psb_isa::{BlockId, Op, Reg, ScalarProgram, Src, Terminator};
+use psb_scalar::{EdgeProfile, ScalarConfig, ScalarMachine};
 use psb_sched::{Model, SchedConfig};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -134,5 +136,183 @@ fn profile_stage_failure_is_typed() {
     assert!(
         matches!(err, CompileError::Profile(_)),
         "expected a profile-stage error, got {err}"
+    );
+}
+
+/// The parts of a trained request, owned so a test can change one.
+#[derive(Clone)]
+struct Parts {
+    program: ScalarProgram,
+    train: ScalarProgram,
+    config: ScalarConfig,
+    sched: SchedConfig,
+}
+
+impl Parts {
+    fn key(&self) -> u64 {
+        CompileRequest {
+            program: &self.program,
+            profile: ProfileSource::Train {
+                program: &self.train,
+                config: self.config.clone(),
+            },
+            sched: self.sched.clone(),
+        }
+        .key()
+    }
+}
+
+fn li(seed: u64) -> ScalarProgram {
+    psb_workloads::by_name("li", seed, 96)
+        .expect("li exists")
+        .program
+}
+
+/// A one-field change to a scalar program.
+type ProgramChange = fn(&mut ScalarProgram);
+
+/// One-field changes to a scalar program.
+fn program_changes() -> Vec<(&'static str, ProgramChange)> {
+    vec![
+        ("memory cell value", |p| p.memory.cells[0].1 += 1),
+        ("op operand", |p| {
+            let op = p
+                .blocks
+                .iter_mut()
+                .flat_map(|b| &mut b.instrs)
+                .find(|op| matches!(op, Op::Alu { .. }))
+                .expect("an ALU op");
+            if let Op::Alu { a, .. } = op {
+                *a = match *a {
+                    Src::Reg { reg, shadow } => Src::Reg {
+                        reg: Reg::new((reg.index() + 1) % psb_isa::NUM_REGS),
+                        shadow,
+                    },
+                    Src::Imm(v) => Src::Imm(v + 1),
+                };
+            }
+        }),
+        ("terminator target", |p| {
+            let term = p
+                .blocks
+                .iter_mut()
+                .map(|b| &mut b.term)
+                .find(|t| !matches!(t, Terminator::Halt))
+                .expect("a branch or jump");
+            match term {
+                Terminator::Jump(t) | Terminator::Branch { taken: t, .. } => t.0 += 1,
+                Terminator::Halt => unreachable!(),
+            }
+        }),
+        ("entry", |p| p.entry = BlockId(p.entry.0 + 1)),
+        ("init_regs entry", |p| p.init_regs[0].1 += 1),
+        ("live_out entry", |p| {
+            p.live_out[0] = Reg::new((p.live_out[0].index() + 1) % psb_isa::NUM_REGS)
+        }),
+        ("name", |p| p.name.push('x')),
+    ]
+}
+
+/// The key sees every field: starting from one request, changing exactly
+/// one thing — a word of either program, of the scalar configuration,
+/// of a provided profile, or of the scheduling configuration — changes
+/// the key, and no two of the changed requests collide.  Two
+/// independently generated copies of one workload get equal keys.
+#[test]
+fn key_sees_every_field() {
+    let base = Parts {
+        program: li(3),
+        train: li(5),
+        config: ScalarConfig::default(),
+        sched: SchedConfig::new(Model::RegionPred),
+    };
+    assert!(
+        !base.program.memory.cells.is_empty()
+            && !base.program.init_regs.is_empty()
+            && !base.program.live_out.is_empty(),
+        "the fixture must exercise every program field"
+    );
+    assert_eq!(
+        base.key(),
+        Parts {
+            program: li(3),
+            train: li(5),
+            ..base.clone()
+        }
+        .key()
+    );
+
+    let mut changes: Vec<(String, Parts)> = Vec::new();
+    for (what, change) in program_changes() {
+        let mut p = base.clone();
+        change(&mut p.program);
+        changes.push((format!("program {what}"), p));
+        let mut p = base.clone();
+        change(&mut p.train);
+        changes.push((format!("training program {what}"), p));
+    }
+    type PartsChange = fn(&mut Parts);
+    let other_changes: [(&str, PartsChange); 13] = [
+        ("fault_once_addrs", |p| {
+            p.config.fault_once_addrs.insert(7);
+        }),
+        ("max_cycles", |p| p.config.max_cycles += 1),
+        ("model", |p| p.sched.model = Model::TracePred),
+        ("issue_width", |p| p.sched.issue_width += 1),
+        ("resources.alu", |p| p.sched.resources.alu += 1),
+        ("resources.branch", |p| p.sched.resources.branch += 1),
+        ("resources.load", |p| p.sched.resources.load += 1),
+        ("resources.store", |p| p.sched.resources.store += 1),
+        ("num_conds", |p| p.sched.num_conds += 1),
+        ("depth", |p| p.sched.depth += 1),
+        ("max_blocks", |p| p.sched.max_blocks += 1),
+        ("single_shadow", |p| p.sched.single_shadow ^= true),
+        ("ordered_cond_sets", |p| p.sched.ordered_cond_sets ^= true),
+    ];
+    for (what, change) in other_changes {
+        let mut p = base.clone();
+        change(&mut p);
+        changes.push((what.to_string(), p));
+    }
+
+    let mut seen = HashSet::from([base.key()]);
+    for (what, parts) in &changes {
+        assert!(
+            seen.insert(parts.key()),
+            "changing the {what} left the key unchanged or collided"
+        );
+    }
+
+    // A provided profile: its counts are part of the key.
+    let provided_key = |profile: &EdgeProfile| {
+        CompileRequest {
+            program: &base.program,
+            profile: ProfileSource::Provided(profile),
+            sched: base.sched.clone(),
+        }
+        .key()
+    };
+    let profile = ScalarMachine::new(&base.program, ScalarConfig::default())
+        .run()
+        .expect("li runs clean")
+        .edge_profile;
+    let counts: Vec<(u64, u64)> = (0..profile.num_blocks())
+        .map(|b| profile.counts(BlockId(b as u32)))
+        .collect();
+    assert_eq!(
+        provided_key(&EdgeProfile::from_counts(counts.clone())),
+        provided_key(&profile)
+    );
+    let mut bumped = counts;
+    let mid = bumped.len() / 2;
+    bumped[mid].1 += 1;
+    assert_ne!(
+        provided_key(&EdgeProfile::from_counts(bumped)),
+        provided_key(&profile),
+        "changing one profile count left the key unchanged"
+    );
+    assert!(
+        seen.insert(provided_key(&profile)),
+        "provided and trained keys collide"
     );
 }

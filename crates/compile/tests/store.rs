@@ -106,7 +106,7 @@ fn encode_decode_is_the_identity_on_the_interesting_fields() {
     let cache = ArtifactCache::new();
     let (art, _) = compile_stored(&fx.request(), &cache, None, &NullTelemetry).expect("compile");
     let bytes = encode_artifact(&art);
-    let decoded = decode_artifact(&bytes, &fx.request()).expect("decode");
+    let decoded = decode_artifact(&bytes, fx.request().key(), &fx.sched).expect("decode");
     assert_eq!(decoded.content_hash, art.content_hash);
     assert_eq!(decoded.program, art.program);
     assert_eq!(decoded.profile, art.profile);
@@ -192,7 +192,7 @@ fn corrupted_files_give_typed_errors_and_recompile_heals() {
 
     for (what, bytes, expected) in cases {
         // The decoder reports the typed error...
-        let err = decode_artifact(&bytes, &fx.request()).expect_err(what);
+        let err = decode_artifact(&bytes, fx.request().key(), &fx.sched).expect_err(what);
         assert!(expected(&err), "{what}: got {err:?} ({err})");
 
         // ...and the full store path degrades to a recompile that heals
@@ -208,9 +208,13 @@ fn corrupted_files_give_typed_errors_and_recompile_heals() {
         assert_eq!(store.stats().writes, 1, "{what}: recompile must re-save");
         // The healed file now loads cleanly.
         assert_eq!(
-            decode_artifact(&std::fs::read(&path).expect("healed file"), &fx.request())
-                .expect("healed artifact decodes")
-                .content_hash,
+            decode_artifact(
+                &std::fs::read(&path).expect("healed file"),
+                fx.request().key(),
+                &fx.sched
+            )
+            .expect("healed artifact decodes")
+            .content_hash,
             fresh.content_hash,
             "{what}"
         );
@@ -229,7 +233,7 @@ fn a_different_requests_file_is_rejected_as_key_mismatch() {
     // sync or manual copy would produce).
     let bytes = std::fs::read(store.path_for(fx_a.request().key())).expect("file");
     std::fs::write(store.path_for(fx_b.request().key()), &bytes).expect("cross-link");
-    let err = decode_artifact(&bytes, &fx_b.request()).expect_err("key mismatch");
+    let err = decode_artifact(&bytes, fx_b.request().key(), &fx_b.sched).expect_err("key mismatch");
     assert!(matches!(err, StoreError::KeyMismatch { .. }), "{err:?}");
     // The store path still serves the right artifact for B (recompiled).
     let cache_b = ArtifactCache::new();
@@ -305,7 +309,11 @@ fn size_capped_store_evicts_oldest_artifacts() {
     )
     .expect("backdate survivor");
     let loaded = capped
-        .load(&fixtures[2].request(), &NullTelemetry)
+        .load(
+            fixtures[2].request().key(),
+            &fixtures[2].sched,
+            &NullTelemetry,
+        )
         .expect("load")
         .expect("hit");
     assert_eq!(loaded.content_hash, arts[2].content_hash);
@@ -323,7 +331,7 @@ fn stats_distinguish_misses_from_errors() {
     let store = DiskStore::open(&dir).expect("open store");
     // Clean miss: no file at all.
     assert!(store
-        .load(&fx.request(), &NullTelemetry)
+        .load(fx.request().key(), &fx.sched, &NullTelemetry)
         .expect("miss is not an error")
         .is_none());
     assert_eq!(store.stats().misses, 1);
@@ -331,7 +339,7 @@ fn stats_distinguish_misses_from_errors() {
     // Error: a file exists but is garbage.
     std::fs::write(store.path_for(fx.request().key()), b"not an artifact").expect("plant");
     let err = store
-        .load(&fx.request(), &NullTelemetry)
+        .load(fx.request().key(), &fx.sched, &NullTelemetry)
         .expect_err("garbage must be a typed error");
     assert!(matches!(err, StoreError::Magic), "{err:?}");
     let stats = store.stats();

@@ -318,6 +318,69 @@ fn compile_sweep_is_jobs_deterministic_and_counts_misses() {
 }
 
 #[test]
+fn compile_content_hashes_are_pinned() {
+    // The content hash is published (`repro compile`, `/run`, `psbsim`,
+    // `.psba` headers), so its values are frozen: these are the hashes
+    // every earlier release printed for the same points.
+    let rows = |args: &[&str]| -> Vec<(String, String, String)> {
+        let doc = assert_json(stdout_of(args).trim_end());
+        doc.get("rows")
+            .and_then(Json::as_array)
+            .expect("rows")
+            .iter()
+            .map(|r| {
+                let field = |k: &str| r.get(k).and_then(Json::as_str).expect(k).to_string();
+                (field("workload"), field("model"), field("content_hash"))
+            })
+            .collect()
+    };
+    let pinned = [
+        ("grep", "global", "2dadaf12614c2165"),
+        ("grep", "squash", "ea17d092835846f6"),
+        ("grep", "trace", "778d2f599469fd12"),
+        ("grep", "region-squash", "f562cb2093568e19"),
+        ("grep", "boost", "7ea5ad77e386b6e3"),
+        ("grep", "trace-pred", "a12dafe5ec954173"),
+        ("grep", "region-pred", "e35b883f9d12c982"),
+        ("li", "global", "9b7d52ffd913e509"),
+        ("li", "squash", "d2ef54cc445610e6"),
+        ("li", "trace", "7e93c69413dd6a67"),
+        ("li", "region-squash", "b9655e1520eaa854"),
+        ("li", "boost", "871ce5dbabf48e8b"),
+        ("li", "trace-pred", "bcb2cd5e08958f3d"),
+        ("li", "region-pred", "07e2b4cda9cfbc3e"),
+    ];
+    let got = rows(&[
+        "compile",
+        "--workload",
+        "grep,li",
+        "--model",
+        "all",
+        "--size",
+        "96",
+        "--json",
+        "--deterministic",
+    ]);
+    let want: Vec<(String, String, String)> = pinned
+        .iter()
+        .map(|&(w, m, h)| (w.to_string(), m.to_string(), h.to_string()))
+        .collect();
+    assert_eq!(got, want);
+    // README's default-size example.
+    let readme = rows(&[
+        "compile",
+        "--workload",
+        "grep",
+        "--model",
+        "region-pred",
+        "--json",
+        "--deterministic",
+    ]);
+    assert_eq!(readme.len(), 1);
+    assert_eq!(readme[0].2, "cb80ea25046db3b6");
+}
+
+#[test]
 fn bad_selections_exit_with_usage() {
     for args in [
         &["trace", "--workload", "nope"][..],

@@ -24,7 +24,7 @@ impl fmt::Display for BlockId {
 }
 
 /// The control-flow terminator of a basic block.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum Terminator {
     /// Unconditional jump.
     Jump(BlockId),
@@ -92,7 +92,7 @@ impl Terminator {
 }
 
 /// A basic block: straight-line ops followed by one terminator.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Hash, Debug, Default)]
 pub struct Block {
     /// The straight-line operations of the block, in program order.
     pub instrs: Vec<Op>,
@@ -105,7 +105,7 @@ pub struct Block {
 /// Memory is word-addressed: each address holds one `i64`.  Valid addresses
 /// are `1..size`; address `0` plays the role of the NULL page and always
 /// faults, as do negative and out-of-range addresses.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Hash, Debug, Default)]
 pub struct MemImage {
     /// One past the largest valid address.
     pub size: i64,
@@ -138,7 +138,7 @@ impl MemImage {
 
 /// A scalar program: the representation the schedulers consume and the
 /// scalar reference machine executes.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Hash, Debug, Default)]
 pub struct ScalarProgram {
     /// Human-readable program name (used in reports).
     pub name: String,

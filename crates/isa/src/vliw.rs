@@ -10,7 +10,7 @@ use crate::scalar::MemImage;
 ///
 /// The paper's base machine has four ALUs, four branch units, two load
 /// units and one store unit (Section 4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Resources {
     /// ALU count.
     pub alu: usize,

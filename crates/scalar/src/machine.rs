@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// Timing and fault configuration of the scalar machine.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct ScalarConfig {
     /// Stall cycles charged when the instruction after a load reads the
     /// load destination (R3000 load interlock).

@@ -9,7 +9,7 @@ use psb_isa::BlockId;
 /// The schedulers use profiles from a *training* input to form static
 /// predictions and to drive trace/region growth; the evaluation then runs a
 /// different input, exactly as profile-guided static prediction works.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct EdgeProfile {
     taken: Vec<u64>,
     not_taken: Vec<u64>,

@@ -74,7 +74,7 @@ impl fmt::Display for Model {
 }
 
 /// Scheduling configuration.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct SchedConfig {
     /// The scheduling model.
     pub model: Model,
