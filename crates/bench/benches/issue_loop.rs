@@ -1,15 +1,13 @@
-//! Issue-loop engine comparison: the table-dispatched and pre-decoded
-//! hot paths against the legacy per-cycle decode path, on real scheduled
-//! programs.
+//! Issue-loop engine comparison: the table-dispatched hot path against
+//! the legacy per-cycle decode path, on real scheduled programs.
 //!
-//! The three engines execute the identical architecture (the
-//! differential suite proves byte-equal results); what this group
-//! measures is pure simulator cost — the legacy path clones the
-//! `MultiOp` and walks `SlotOp::srcs()` allocations every cycle, the
-//! pre-decoded path reads `Copy` slots from a dense arena and screens
-//! operand hazards with one mask intersection, and the tabled path
-//! additionally jumps through build-time-generated handler tables that
-//! fuse predicate evaluation, hazard masking and execution into one
+//! Both engines execute the identical architecture (the differential
+//! suite proves byte-equal results); what this group measures is pure
+//! simulator cost — the legacy path clones the `MultiOp` and walks
+//! `SlotOp::srcs()` allocations every cycle, while the tabled path reads
+//! `Copy` slots from a dense arena, screens operand hazards with one mask
+//! intersection, and jumps through build-time-generated handler tables
+//! that fuse predicate evaluation, hazard masking and execution into one
 //! monomorphized call per slot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -36,11 +34,7 @@ fn compiled(name: &str) -> CompiledArtifact {
 fn bench_engines(c: &mut Criterion, name: &'static str) {
     let art = compiled(name);
     let mut g = c.benchmark_group(format!("issue_loop_{name}"));
-    for (label, engine) in [
-        ("legacy", Engine::Legacy),
-        ("predecoded", Engine::Predecoded),
-        ("tabled", Engine::Tabled),
-    ] {
+    for (label, engine) in [("legacy", Engine::Legacy), ("tabled", Engine::Tabled)] {
         let cfg = MachineConfig {
             engine,
             ..MachineConfig::default()

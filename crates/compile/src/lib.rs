@@ -16,7 +16,7 @@
 //! [`EdgeProfile`] (or adopts one the caller already has, via
 //! [`ProfileSource::Provided`]); [`Stage::Schedule`] invokes the
 //! model-specific VLIW scheduler; [`Stage::Decode`] lowers the schedule
-//! into the pre-decoded arena the machine's fast issue paths read —
+//! into the decoded arena the machine's tabled issue path reads —
 //! including the generated-dispatch indices (per-slot handler numbers and
 //! per-word issue classes) that drive the table-dispatched engine.  The
 //! product is an immutable [`CompiledArtifact`] carrying everything a
@@ -301,7 +301,8 @@ pub struct CompiledArtifact {
     pub program: Arc<VliwProgram>,
     /// Static schedule statistics (words, regions, op mix, utilisation).
     pub sched_stats: ScheduleStats,
-    /// The pre-decoded issue arena, decoded exactly once per artifact.
+    /// The decoded issue arena the tabled engine reads, decoded exactly
+    /// once per artifact.
     pub decoded: Arc<DecodedProgram>,
     /// Per-stage costs of the compile that produced this artifact.
     pub stats: CompileStats,
@@ -309,13 +310,15 @@ pub struct CompiledArtifact {
 
 impl CompiledArtifact {
     /// Runs the artifact's program on a machine that borrows the
-    /// pre-decoded arena.
+    /// decoded arena, with the default [`psb_core::EventLog`] sink
+    /// (recording iff [`MachineConfig::record_events`]).
     ///
     /// # Errors
     ///
-    /// See [`VliwMachine::run_program_decoded`].
+    /// See [`VliwMachine::with_sink_decoded`] and [`VliwMachine::run`].
     pub fn run(&self, cfg: MachineConfig) -> Result<VliwResult, VliwError> {
-        VliwMachine::run_program_decoded(&self.program, Arc::clone(&self.decoded), cfg)
+        let sink = psb_core::EventLog::new(cfg.record_events);
+        VliwMachine::with_sink_decoded(&self.program, Arc::clone(&self.decoded), cfg, sink)?.run()
     }
 
     /// Runs the artifact's program feeding `sink`, returning the result
@@ -323,13 +326,14 @@ impl CompiledArtifact {
     ///
     /// # Errors
     ///
-    /// See [`VliwMachine::run_with_sink_decoded`].
+    /// See [`VliwMachine::with_sink_decoded`] and [`VliwMachine::run`].
     pub fn run_with_sink<S: TraceSink>(
         &self,
         cfg: MachineConfig,
         sink: S,
     ) -> Result<(VliwResult, S), VliwError> {
-        VliwMachine::run_with_sink_decoded(&self.program, Arc::clone(&self.decoded), cfg, sink)
+        VliwMachine::with_sink_decoded(&self.program, Arc::clone(&self.decoded), cfg, sink)?
+            .run_into_sink()
     }
 
     /// Runs the artifact's program under every configuration in `cfgs`

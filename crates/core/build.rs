@@ -70,8 +70,8 @@ fn main() {
          /// bit 0: any slot has a conditional (non-`alw`) predicate\n\
          /// bit 1: the word contains at least one store slot\n\
          /// bit 2: the word contains a control-transfer slot\n\
-         pub(crate) const fn word_class_index(any_cond: bool, has_store: bool, has_control: bool) -> u8 {{\n    \
-             any_cond as u8 | (has_store as u8) << 1 | (has_control as u8) << 2\n\
+         pub(crate) const fn word_class_index(any_cond: bool, any_store: bool, any_control: bool) -> u8 {{\n    \
+             any_cond as u8 | (any_store as u8) << 1 | (any_control as u8) << 2\n\
          }}"
     )
     .unwrap();

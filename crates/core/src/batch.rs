@@ -2,24 +2,22 @@
 //! shared decoded arena.
 //!
 //! Design-space sweeps run the *same compiled artifact* under many
-//! [`MachineConfig`] variants (issue width × store-buffer depth ×
-//! commit-scan strategy × …).  Point-at-a-time execution re-pays the
-//! per-run fixed costs for every point: program validation, arena
-//! dispatch validation, and the cache-miss compile whose key already
-//! excludes `MachineConfig` precisely so that one artifact can serve a
-//! whole grid.  [`BatchedMachine`] makes that amortization first-class:
+//! [`MachineConfig`] variants (issue width × store-buffer depth × memory
+//! model × …).  [`BatchedMachine`] runs such a grid as one batch:
 //!
-//! * **Struct-of-arrays state.**  The batch holds parallel per-lane
-//!   columns — each lane owns its predicated register file, store
-//!   buffer, CCR and [`RunStats`](crate::RunStats) — while all lanes
-//!   share one `Arc<DecodedProgram>` arena and one `&VliwProgram`.  The
-//!   decoded words and slots are fetched from the same cache-resident
-//!   arena as every other lane's, instead of N cold copies.
-//! * **Lockstep stepping.**  One batch cycle calls
+//! * **Lanes are whole machines.**  The batch is a
+//!   `Vec<Option<VliwMachine>>`: each lane is an ordinary solo machine
+//!   with its own predicated register file, store buffer, CCR and
+//!   [`RunStats`](crate::RunStats), and every lane holds a clone of one
+//!   `Arc<DecodedProgram>` and one `&VliwProgram`.  Solo runs of one
+//!   compiled artifact share that same arena, so the batch adds no
+//!   sharing a solo loop over the artifact lacks.
+//! * **Lockstep stepping.**  One round calls
 //!   [`VliwMachine::step_cycle`] — the *same* single-cycle function the
-//!   solo runner loops over — once per live lane.  A lane's trajectory
-//!   is therefore byte-equal to its solo run (event logs included) by
-//!   construction, not by a re-implementation of the cycle semantics.
+//!   solo runner loops over — up to `stride` times per live lane.  A
+//!   lane's trajectory is therefore byte-equal to its solo run (event
+//!   logs included) by construction, not by a re-implementation of the
+//!   cycle semantics, and results do not depend on the stride.
 //! * **Independent retirement.**  A lane that issues its halt word (or
 //!   faults) drains and retires immediately; the batch keeps stepping
 //!   the remaining live lanes, so one long-running configuration never
@@ -28,6 +26,12 @@
 //!   per *distinct* `(issue_width, resources)` pair instead of once per
 //!   lane, and validates the shared arena's dispatch tables exactly
 //!   once per batch.
+//!
+//! Lockstep is not measurably faster than solo runs of the same
+//! artifact: the `psbbench` sweep workload's traced
+//! `core.batch.solo_ratio` (solo time over batched time for the same
+//! grid) reads about 0.98.  The batch stays because `repro sweep` and
+//! that benchmark drive their grids through it.
 //!
 //! Lane failures are per-lane values, never batch failures: a config
 //! that fails admission, faults, or exceeds its cycle limit yields the

@@ -39,9 +39,10 @@ pub enum CommitScan {
 
 /// Which issue-path implementation drives the machine.
 ///
-/// All engines execute the same architecture and are held observably
+/// Both engines execute the same architecture and are held observably
 /// identical by the engine-differential proptests and the fuzz harness.
-/// They differ only in simulator cost.
+/// They differ only in simulator cost: `Tabled` is the fast path and
+/// `Legacy` the independent reference it is checked against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
     /// Drive the issue loop from build-time-generated dispatch tables:
@@ -53,15 +54,10 @@ pub enum Engine {
     /// match-free and allocation-free.
     #[default]
     Tabled,
-    /// Decode every VLIW word once at `run_program` entry into a dense
-    /// arena (flat `Copy` slots, pre-computed source-register bitmasks,
-    /// per-word issue metadata) and drive the per-cycle issue loop from
-    /// it — no allocation in the issue screen itself, one interpretive
-    /// op-kind match per slot.
-    Predecoded,
     /// The original issue loop: clone the current `MultiOp` each cycle
-    /// and materialise per-slot source lists on demand.  Kept as the
-    /// differential oracle for the faster engines.
+    /// and materialise per-slot source lists on demand.  It reads the
+    /// program itself, never the decoded arena, so it is kept as the
+    /// differential oracle for the tabled engine.
     Legacy,
 }
 

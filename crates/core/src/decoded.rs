@@ -1,22 +1,22 @@
-//! Pre-decoded program representation for the hot issue path.
+//! Decoded program representation for the tabled issue path.
 //!
 //! The legacy issue path re-reads its program every cycle: it clones the
 //! [`MultiOp`](psb_isa::MultiOp) word at PC (a `Vec` allocation) and walks
 //! [`SlotOp::srcs`] (another allocation per slot) to screen for operand
-//! hazards.  The pre-decoded engine instead decodes the whole program once
-//! at machine construction into a dense arena of `Copy` slots whose
-//! source-register sets are pre-folded into bitmasks, plus per-word
-//! metadata that lets the issue loop skip the store/control prepass and
-//! the fall-through region lookup when they cannot matter.  The per-cycle
-//! issue loop is then allocation-free and hazard screening is a single
-//! mask intersection per word.
+//! hazards.  The tabled engine instead reads an arena decoded once at
+//! machine construction: `Copy` slots whose source-register sets are
+//! pre-folded into bitmasks, plus per-word metadata that lets the issue
+//! loop skip the store/control prepass and the fall-through region lookup
+//! when they cannot matter.  The per-cycle issue loop is then
+//! allocation-free and hazard screening is a single mask intersection per
+//! word.
 //!
-//! On top of that, decode lowers every slot to a dense *handler index* and
-//! every word to a *class index* into the build-time-generated dispatch
-//! tables (see `dispatch.rs` / `build.rs`), so the tabled engine issues a
-//! word with one indirect call per slot and no per-slot op-kind match.
+//! Decode also lowers every slot to a dense *handler index* and every
+//! word to a *class index* into the build-time-generated dispatch tables
+//! (see `dispatch.rs` / `build.rs`), so the tabled engine issues a word
+//! with one indirect call per slot and no per-slot op-kind match.
 //!
-//! All engines share the per-slot execution semantics
+//! Both engines share the per-slot execution semantics
 //! (`VliwMachine::exec_*`), so the decoded representation only changes
 //! *how fast* a word is inspected, never *what* it does; the differential
 //! fuzz harness holds the engines to byte-identical event logs.
@@ -27,7 +27,7 @@ use psb_isa::{Op, Predicate, SlotOp, VliwProgram, NUM_REGS};
 // Source-register sets are u64 bitmasks.
 const _: () = assert!(NUM_REGS <= 64, "register masks are u64");
 
-/// One pre-decoded slot: the predicate and operation copied out of the
+/// One decoded slot: the predicate and operation copied out of the
 /// program, plus the set of registers the operation reads.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct DecodedSlot {
@@ -59,26 +59,23 @@ pub struct DecodedWord {
     /// Number of store slots (counted regardless of predicate).  Zero lets
     /// the issue loop skip the store-buffer overflow prepass entirely.
     pub store_slots: u8,
-    /// Whether any slot is a control transfer (jump, compare-and-branch or
-    /// halt) whose predicate the prepass must screen.
-    pub has_control: bool,
     /// Whether `addr + 1` is a region start, pre-resolving the
     /// fall-through region check's binary search.
     pub falls_into_region: bool,
     /// Index into the generated word-issue dispatch table: one bit per
     /// specialisation axis (conditional predicates present / store slots
-    /// present / control transfer present), selecting the streamlined
-    /// issue path that skips whichever prepasses cannot matter.
+    /// present / control transfer — jump, compare-and-branch or halt —
+    /// present), selecting the streamlined issue path that skips
+    /// whichever prepasses cannot matter.
     pub class: u8,
 }
 
 /// A program decoded once into dense slot and word arenas.
 ///
 /// Built by [`DecodedProgram::decode`] at machine construction
-/// ([`Engine::Tabled`](crate::Engine::Tabled) and
-/// [`Engine::Predecoded`](crate::Engine::Predecoded) read it on every
-/// cycle; [`Engine::Legacy`](crate::Engine::Legacy) ignores it and
-/// re-decodes per cycle as the differential oracle).
+/// ([`Engine::Tabled`](crate::Engine::Tabled) reads it on every cycle;
+/// [`Engine::Legacy`](crate::Engine::Legacy) ignores it and re-decodes
+/// per cycle as the differential oracle).
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct DecodedProgram {
     /// Per-word metadata, indexed by word address.
@@ -107,7 +104,7 @@ impl DecodedProgram {
             let first_slot = slots.len() as u32;
             let mut src_union = 0u64;
             let mut store_slots = 0u8;
-            let mut has_control = false;
+            let mut any_control = false;
             let mut any_cond = false;
             for slot in &word.slots {
                 let mask = src_mask(&slot.op);
@@ -116,7 +113,7 @@ impl DecodedProgram {
                 match slot.op {
                     SlotOp::Op(Op::Store { .. }) => store_slots += 1,
                     SlotOp::Jump { .. } | SlotOp::CmpBr { .. } | SlotOp::Halt => {
-                        has_control = true;
+                        any_control = true;
                     }
                     _ => {}
                 }
@@ -136,10 +133,9 @@ impl DecodedProgram {
                 num_slots: word.slots.len() as u32,
                 src_union,
                 store_slots,
-                has_control,
                 falls_into_region: next < prog.words.len()
                     && prog.region_starts.binary_search(&next).is_ok(),
-                class: dispatch::word_class_index(any_cond, store_slots > 0, has_control),
+                class: dispatch::word_class_index(any_cond, store_slots > 0, any_control),
             });
         }
         DecodedProgram { words, slots }
@@ -155,8 +151,8 @@ impl DecodedProgram {
     /// Checks that the arena's generated-dispatch lowering is exactly what
     /// [`DecodedProgram::decode`] would produce for its own slots: every
     /// slot's handler index and every word's class index (plus the
-    /// metadata the specialised issue paths rely on — store-slot count and
-    /// control flag) are re-derived and compared.
+    /// store-slot count the specialised issue paths rely on) are
+    /// re-derived and compared.
     ///
     /// Machine construction runs this before the first cycle, so a
     /// corrupted or hand-constructed arena is rejected with a
@@ -182,7 +178,7 @@ impl DecodedProgram {
             };
             let mut any_cond = false;
             let mut store_slots = 0u8;
-            let mut has_control = false;
+            let mut any_control = false;
             for (k, s) in slots.iter().enumerate() {
                 let want =
                     dispatch::slot_handler_index(dispatch::op_kind(&s.op), s.pred.is_always());
@@ -197,19 +193,19 @@ impl DecodedProgram {
                 match s.op {
                     SlotOp::Op(Op::Store { .. }) => store_slots += 1,
                     SlotOp::Jump { .. } | SlotOp::CmpBr { .. } | SlotOp::Halt => {
-                        has_control = true;
+                        any_control = true;
                     }
                     _ => {}
                 }
             }
-            if w.store_slots != store_slots || w.has_control != has_control {
+            if w.store_slots != store_slots {
                 return Err(format!(
-                    "word {addr}: store/control metadata ({}, {}) does not match its slots \
-                     (expected ({store_slots}, {has_control}))",
-                    w.store_slots, w.has_control
+                    "word {addr}: store-slot count {} does not match its slots \
+                     (expected {store_slots})",
+                    w.store_slots
                 ));
             }
-            let want = dispatch::word_class_index(any_cond, store_slots > 0, has_control);
+            let want = dispatch::word_class_index(any_cond, store_slots > 0, any_control);
             if w.class != want {
                 return Err(format!(
                     "word {addr}: dispatch word class {} does not match its slots \
@@ -276,7 +272,6 @@ mod tests {
         assert_eq!((w0.first_slot, w0.num_slots), (0, 2));
         assert_eq!(w0.src_union, 0b11110);
         assert_eq!(w0.store_slots, 1);
-        assert!(!w0.has_control);
         assert!(!w0.falls_into_region);
         assert_eq!(d.slots[0].src_mask, 0b00110);
         assert_eq!(d.slots[1].src_mask, 0b11000);
@@ -284,11 +279,9 @@ mod tests {
         let w1 = &d.words[1];
         assert_eq!(w1.src_union, 0);
         assert_eq!(w1.store_slots, 0);
-        assert!(!w1.has_control);
         assert!(w1.falls_into_region, "W2 is a region start");
 
         let w2 = &d.words[2];
-        assert!(w2.has_control);
         assert!(!w2.falls_into_region, "no word past the end");
         assert_eq!(DecodedProgram::slot_range(w2), 3..4);
     }
@@ -363,7 +356,7 @@ mod tests {
         let mut d = DecodedProgram::decode(&prog());
         d.words[0].store_slots = 0;
         let err = d.validate_dispatch().unwrap_err();
-        assert!(err.contains("store/control metadata"), "{err}");
+        assert!(err.contains("store-slot count"), "{err}");
 
         let mut d = DecodedProgram::decode(&prog());
         d.words[1].first_slot = 0;

@@ -219,7 +219,7 @@ struct PendingStore {
 pub struct VliwMachine<'p, S: TraceSink = EventLog> {
     prog: &'p VliwProgram,
     /// The program decoded once into dense `Copy` arenas; read every cycle
-    /// by [`Engine::Predecoded`], ignored by [`Engine::Legacy`].  Shared
+    /// by [`Engine::Tabled`], ignored by [`Engine::Legacy`].  Shared
     /// (`Arc`) so a compiled artifact's arena is borrowed by every machine
     /// built over it instead of being re-lowered per construction.
     decoded: Arc<DecodedProgram>,
@@ -318,20 +318,24 @@ impl<'p> VliwMachine<'p> {
         VliwMachine::new(prog, cfg)?.run()
     }
 
-    /// Like [`VliwMachine::run_program`], but borrows a pre-decoded arena
-    /// (e.g. a compiled artifact's) instead of re-lowering `prog`.
+    /// Runs the program to completion.
+    ///
+    /// Defined for the default sink only, so its cycle loop is compiled
+    /// once, in this crate, whichever crate calls it: a compiled
+    /// artifact's runs get the same inlining as [`run_program`], where
+    /// [`step_cycle`](VliwMachine::step_cycle) has this loop as its only
+    /// caller.  Other sinks use [`run_into_sink`](VliwMachine::run_into_sink).
+    ///
+    /// [`run_program`]: VliwMachine::run_program
     ///
     /// # Errors
     ///
-    /// See [`VliwMachine::run`]; additionally [`VliwError::Malformed`] if
-    /// `decoded` does not match `prog`.
-    pub fn run_program_decoded(
-        prog: &VliwProgram,
-        decoded: Arc<DecodedProgram>,
-        cfg: MachineConfig,
-    ) -> Result<VliwResult, VliwError> {
-        let sink = EventLog::new(cfg.record_events);
-        VliwMachine::with_sink_decoded(prog, decoded, cfg, sink)?.run()
+    /// [`VliwError::Fault`] when a fatal memory fault commits;
+    /// [`VliwError::CycleLimit`] past the configured limit;
+    /// [`VliwError::ShadowConflict`] on a single-shadow collision;
+    /// [`VliwError::Malformed`] on an invariant violation.
+    pub fn run(self) -> Result<VliwResult, VliwError> {
+        self.run_into_sink().map(|(res, _)| res)
     }
 }
 
@@ -463,21 +467,6 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         VliwMachine::with_sink(prog, cfg, sink)?.run_into_sink()
     }
 
-    /// Like [`VliwMachine::run_with_sink`], but borrows a pre-decoded
-    /// arena instead of re-lowering `prog`.
-    ///
-    /// # Errors
-    ///
-    /// See [`VliwMachine::with_sink_decoded`] and [`VliwMachine::run`].
-    pub fn run_with_sink_decoded(
-        prog: &VliwProgram,
-        decoded: Arc<DecodedProgram>,
-        cfg: MachineConfig,
-        sink: S,
-    ) -> Result<(VliwResult, S), VliwError> {
-        VliwMachine::with_sink_decoded(prog, decoded, cfg, sink)?.run_into_sink()
-    }
-
     fn read_src(&self, s: Src, reader_pred: &Predicate) -> i64 {
         match s {
             Src::Imm(v) => v,
@@ -566,8 +555,8 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         }
     }
 
-    /// Bitmask of registers targeted by in-flight writes (the pre-decoded
-    /// path's hazard screen intersects this with the word's source union).
+    /// Bitmask of registers targeted by in-flight writes (the tabled
+    /// engine's hazard screen intersects this with the word's source union).
     #[inline]
     fn inflight_dest_mask(&self) -> u64 {
         self.inflight
@@ -626,9 +615,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
 
     /// The write-after-write half of [`operand_in_flight`] on the decoded
     /// arena: whether a live slot of `range` writes a register whose
-    /// in-flight write matures in a later cycle.  Shared by the
-    /// pre-decoded and tabled screens (their read-after-write half stays
-    /// mask-based on the fast path).
+    /// in-flight write matures in a later cycle.  Shared by the tabled
+    /// engine's normal and recovery screens (their read-after-write half
+    /// stays mask-based on the fast path).
     ///
     /// [`operand_in_flight`]: Self::operand_in_flight
     fn waw_in_flight_decoded(&self, range: std::ops::Range<usize>) -> bool {
@@ -656,8 +645,8 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         let cycle = self.cycle;
         // Same inertness proof as the tabled commit-pass gate: squashing
         // an empty file/buffer is observation-free, so the tabled engine
-        // skips the pass outright (the interpretive engines keep the
-        // literal hardware behaviour).
+        // skips the pass outright (the legacy engine keeps the literal
+        // hardware behaviour).
         let tabled = matches!(self.cfg.engine, Engine::Tabled);
         if !tabled || self.regs.has_buffered() {
             self.stats.squashes += self.regs.squash_spec(cycle, &mut self.sink);
@@ -834,78 +823,10 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         Ok(IssueOutcome::Issued(out))
     }
 
-    /// Issues the word at PC in normal mode via the pre-decoded arena.
-    ///
-    /// Semantically identical to [`issue_normal`](Self::issue_normal) —
-    /// both funnel live slots through
-    /// [`exec_slot_normal`](Self::exec_slot_normal) — but reads `Copy`
-    /// slots out of [`DecodedProgram`] instead of cloning the `MultiOp`,
-    /// screens operand hazards with one mask intersection, and skips the
-    /// store/control prepass when the word's metadata proves it idle.
-    fn issue_normal_decoded(&mut self) -> Result<IssueOutcome, VliwError> {
-        let w = self.decoded.words[self.pc];
-        let range = DecodedProgram::slot_range(&w);
-        // Operand hazard: the union mask screens the whole word; only on a
-        // hit does the precise, predicate-gated per-slot check run.
-        if !self.inflight.is_empty() {
-            let inflight = self.inflight_dest_mask();
-            if w.src_union & inflight != 0 {
-                for i in range.clone() {
-                    let s = self.decoded.slots[i];
-                    if s.src_mask & inflight != 0 && s.pred.eval(&self.ccr) != Cond::False {
-                        let kind = self.operand_stall();
-                        return Ok(IssueOutcome::Stalled(kind));
-                    }
-                }
-            }
-            if self.waw_in_flight_decoded(range.clone()) {
-                let kind = self.operand_stall();
-                return Ok(IssueOutcome::Stalled(kind));
-            }
-        }
-        // Store/control prepass, skipped when the word has neither (an
-        // empty store buffer check can never stall: `would_overflow(0)` is
-        // always false).
-        if w.has_control || w.store_slots > 0 {
-            let mut store_count = 0;
-            for i in range.clone() {
-                let s = self.decoded.slots[i];
-                match s.op {
-                    SlotOp::Jump { .. } | SlotOp::Halt | SlotOp::CmpBr { .. }
-                        if s.pred.eval(&self.ccr) == Cond::Unspecified =>
-                    {
-                        return Err(self.control_unspecified_error(s.pred));
-                    }
-                    SlotOp::Op(Op::Store { .. }) if s.pred.eval(&self.ccr) != Cond::False => {
-                        store_count += 1;
-                    }
-                    _ => {}
-                }
-            }
-            if self.sb.would_overflow(store_count) {
-                self.stats.stall_sb_full += 1;
-                return Ok(IssueOutcome::Stalled(StallKind::SbFull));
-            }
-        }
-
-        let mut out = CycleOut::default();
-        self.stats.words_issued += 1;
-        for i in range {
-            let s = self.decoded.slots[i];
-            let pv = s.pred.eval(&self.ccr);
-            if pv == Cond::False {
-                self.stats.ops_squashed += 1;
-                continue;
-            }
-            self.exec_slot_normal(s.pred, s.op, pv == Cond::True, &mut out)?;
-        }
-        Ok(IssueOutcome::Issued(out))
-    }
-
     // ------------------------------------------------------------------
-    // Shared per-op execution.  Every issue engine — legacy, pre-decoded
-    // and tabled — funnels live slots through these methods, so the
-    // per-op semantics cannot drift between engines.  The cold error
+    // Shared per-op execution.  Both issue engines — legacy and tabled —
+    // funnel live slots through these methods, so the per-op semantics
+    // cannot drift between engines.  The cold error
     // constructors keep the exact diagnostic strings shared too.
     // ------------------------------------------------------------------
 
@@ -1232,9 +1153,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     }
 
     /// Executes one live (predicate not false) slot in normal mode,
-    /// accumulating its effects into `out`.  Shared by the legacy and
-    /// pre-decoded issue paths; the tabled engine reaches the same
-    /// `exec_*` methods through its generated handler table.
+    /// accumulating its effects into `out`.  Used by the legacy issue
+    /// path; the tabled engine reaches the same `exec_*` methods through
+    /// its generated handler table.
     fn exec_slot_normal(
         &mut self,
         pred: Predicate,
@@ -1313,68 +1234,11 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         Ok(IssueOutcome::Issued(out))
     }
 
-    /// Issues the word at PC in recovery mode via the pre-decoded arena —
-    /// the counterpart of [`issue_normal_decoded`](Self::issue_normal_decoded),
-    /// funnelling unspecified slots through
-    /// [`exec_slot_recovery`](Self::exec_slot_recovery).
-    fn issue_recovery_decoded(&mut self, future: &Ccr) -> Result<IssueOutcome, VliwError> {
-        let w = self.decoded.words[self.pc];
-        let range = DecodedProgram::slot_range(&w);
-        if !self.inflight.is_empty() {
-            let inflight = self.inflight_dest_mask();
-            if w.src_union & inflight != 0 {
-                for i in range.clone() {
-                    let s = self.decoded.slots[i];
-                    if s.src_mask & inflight != 0 && s.pred.eval(&self.ccr) != Cond::False {
-                        let kind = self.operand_stall();
-                        return Ok(IssueOutcome::Stalled(kind));
-                    }
-                }
-            }
-            if self.waw_in_flight_decoded(range.clone()) {
-                let kind = self.operand_stall();
-                return Ok(IssueOutcome::Stalled(kind));
-            }
-        }
-        if w.store_slots > 0 {
-            let mut store_count = 0;
-            for i in range.clone() {
-                let s = self.decoded.slots[i];
-                if let SlotOp::Op(Op::Store { .. }) = s.op {
-                    if s.pred.eval(&self.ccr) == Cond::Unspecified {
-                        store_count += 1;
-                    }
-                }
-            }
-            if self.sb.would_overflow(store_count) {
-                self.stats.stall_sb_full += 1;
-                return Ok(IssueOutcome::Stalled(StallKind::SbFull));
-            }
-        }
-
-        let mut out = CycleOut::default();
-        self.stats.words_issued += 1;
-        for i in range {
-            let s = self.decoded.slots[i];
-            if s.pred.eval(&self.ccr) != Cond::Unspecified {
-                if matches!(s.op, SlotOp::Jump { .. } | SlotOp::Halt)
-                    && s.pred.eval(&self.ccr) == Cond::True
-                {
-                    return Err(self.recovery_jump_true_error());
-                }
-                self.stats.ops_squashed += 1;
-                continue;
-            }
-            self.exec_slot_recovery(s.pred, s.op, future, &mut out)?;
-        }
-        Ok(IssueOutcome::Issued(out))
-    }
-
     /// Executes one unspecified-predicate slot in recovery mode,
     /// accumulating its effects into `out`.  A re-raised exception is
-    /// judged against the *future* condition.  Shared by the legacy and
-    /// pre-decoded issue paths; the tabled engine reaches the same
-    /// `exec_*` methods through its generated handler table.
+    /// judged against the *future* condition.  Used by the legacy issue
+    /// path; the tabled engine reaches the same `exec_*` methods through
+    /// its generated handler table.
     fn exec_slot_recovery(
         &mut self,
         pred: Predicate,
@@ -1525,7 +1389,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
 
     /// One generated recovery-mode slot handler, the fused counterpart of
     /// the squash/re-execute split in
-    /// [`issue_recovery_decoded`](Self::issue_recovery_decoded) +
+    /// [`issue_recovery`](Self::issue_recovery) +
     /// [`exec_slot_recovery`](Self::exec_slot_recovery).
     fn h_recovery<const KIND: u8, const ALWAYS: bool>(
         &mut self,
@@ -1626,7 +1490,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         if CONTROL || STORE {
             if COND {
                 // Conditional predicates present: the full store/control
-                // prepass, as in `issue_normal_decoded`.
+                // prepass, as in `issue_normal`.
                 let mut store_count = 0;
                 for i in range.clone() {
                     let s = self.decoded.slots[i];
@@ -1677,8 +1541,10 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
 
     /// Issues the word at PC in recovery mode via the generated dispatch
     /// tables — recovery cycles are rare, so only the per-slot dispatch is
-    /// tabled; the screening prepasses match
-    /// [`issue_recovery_decoded`](Self::issue_recovery_decoded).
+    /// tabled; the screening prepasses are those of
+    /// [`issue_recovery`](Self::issue_recovery), read from the decoded
+    /// arena (one mask intersection screens operand hazards, and the
+    /// store prepass is skipped for store-free words).
     fn issue_recovery_tabled(&mut self, future: &Ccr) -> Result<IssueOutcome, VliwError> {
         let w = self.decoded.words[self.pc];
         let range = DecodedProgram::slot_range(&w);
@@ -1769,18 +1635,6 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         self.cycle += 1;
     }
 
-    /// Runs the program to completion.
-    ///
-    /// # Errors
-    ///
-    /// [`VliwError::Fault`] when a fatal memory fault commits;
-    /// [`VliwError::CycleLimit`] past the configured limit;
-    /// [`VliwError::ShadowConflict`] on a single-shadow collision;
-    /// [`VliwError::Malformed`] on an invariant violation.
-    pub fn run(self) -> Result<VliwResult, VliwError> {
-        self.run_into_sink().map(|(res, _)| res)
-    }
-
     /// Runs the program to completion, returning the result together with
     /// the sink so its accumulated state (e.g. a
     /// [`CountersSink`](crate::CountersSink) report) can be read back.
@@ -1816,11 +1670,11 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         // The tabled engine's cycle driver proves the commit hardware
         // inert before invoking it: a pass over an empty register file or
         // store buffer commits nothing, squashes nothing and emits no
-        // events, so skipping it is observation-free (the three-way
-        // engine differential holds the logs byte-equal).  The
-        // interpretive engines keep the paper's literal always-on pass,
-        // exactly as [`CommitScan::Naive`] stays the reference strategy
-        // for the indexed scan.
+        // events, so skipping it is observation-free (the engine
+        // differential holds the logs byte-equal).  The legacy engine
+        // keeps the paper's literal always-on pass, exactly as
+        // [`CommitScan::Naive`] stays the reference strategy for the
+        // indexed scan.
         let tabled = matches!(self.cfg.engine, Engine::Tabled);
         {
             if self.cycle > self.cfg.max_cycles {
@@ -1874,7 +1728,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                         "execution fell off the program end".into(),
                     ));
                 }
-                // Front-end gate shared by all three engines: the word
+                // Front-end gate shared by both engines: the word
                 // must have arrived from the I$ (or fixed-latency fetch)
                 // before it can issue.  Perfect memory never stalls here.
                 if self.mem.fetch_stalls(self.pc, self.cycle) {
@@ -1884,14 +1738,12 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                     match self.mode {
                         Mode::Normal => match self.cfg.engine {
                             Engine::Tabled => self.issue_normal_tabled()?,
-                            Engine::Predecoded => self.issue_normal_decoded()?,
                             Engine::Legacy => self.issue_normal()?,
                         },
                         Mode::Recovery { ref future, .. } => {
                             let future = *future;
                             match self.cfg.engine {
                                 Engine::Tabled => self.issue_recovery_tabled(&future)?,
-                                Engine::Predecoded => self.issue_recovery_decoded(&future)?,
                                 Engine::Legacy => self.issue_recovery(&future)?,
                             }
                         }
@@ -1961,9 +1813,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 let next = self.pc + 1;
                 let falls_into_region = match self.cfg.engine {
                     // Pre-resolved at decode time — no per-cycle search.
-                    Engine::Tabled | Engine::Predecoded => {
-                        self.decoded.words[self.pc].falls_into_region
-                    }
+                    Engine::Tabled => self.decoded.words[self.pc].falls_into_region,
                     Engine::Legacy => {
                         next < self.prog.words.len()
                             && self.prog.region_starts.binary_search(&next).is_ok()

@@ -2,7 +2,7 @@
 //! rejected at machine construction (decode time) with a typed
 //! [`VliwError::Malformed`] — never reach issue time, and never panic.
 
-use psb_core::{DecodedProgram, Engine, MachineConfig, VliwError, VliwMachine};
+use psb_core::{DecodedProgram, Engine, EventLog, MachineConfig, VliwError, VliwMachine};
 use psb_isa::{AluOp, MemImage, MultiOp, Op, Reg, Slot, SlotOp, Src, VliwProgram};
 use std::sync::Arc;
 
@@ -31,12 +31,12 @@ fn expect_rejected(p: &VliwProgram, d: DecodedProgram) {
     // The corruption must surface as a construction-time Malformed error
     // on every engine (validation does not depend on which engine would
     // have consumed the index), with no panic anywhere.
-    for engine in [Engine::Tabled, Engine::Predecoded, Engine::Legacy] {
+    for engine in [Engine::Tabled, Engine::Legacy] {
         let cfg = MachineConfig {
             engine,
             ..MachineConfig::default()
         };
-        let err = VliwMachine::run_program_decoded(p, Arc::new(d.clone()), cfg)
+        let err = VliwMachine::with_sink_decoded(p, Arc::new(d.clone()), cfg, EventLog::new(false))
             .expect_err("corrupted arena must be rejected");
         match err {
             VliwError::Malformed(m) => {
@@ -83,10 +83,12 @@ fn valid_arena_runs_identically_on_every_engine() {
             record_events: true,
             ..MachineConfig::default()
         };
-        VliwMachine::run_program_decoded(&p, Arc::clone(&d), cfg).expect("runs clean")
+        let sink = EventLog::new(true);
+        VliwMachine::with_sink_decoded(&p, Arc::clone(&d), cfg, sink)
+            .and_then(VliwMachine::run)
+            .expect("runs clean")
     };
     let tabled = run(Engine::Tabled);
     assert_eq!(tabled.regs[1], 5);
-    assert_eq!(tabled, run(Engine::Predecoded));
     assert_eq!(tabled, run(Engine::Legacy));
 }

@@ -326,20 +326,16 @@ struct PointSpec {
 pub fn engine_name(e: Engine) -> &'static str {
     match e {
         Engine::Tabled => "tabled",
-        Engine::Predecoded => "predecoded",
         Engine::Legacy => "legacy",
     }
 }
 
-/// Parses an `--engine` argument (`tabled`, `predecoded`, `legacy`,
-/// `both` — the two interpretive engines — or `all`).
+/// Parses an `--engine` argument (`tabled`, `legacy` or `all`).
 pub fn parse_engines(s: &str) -> Option<Vec<Engine>> {
     match s {
         "tabled" => Some(vec![Engine::Tabled]),
-        "predecoded" => Some(vec![Engine::Predecoded]),
         "legacy" => Some(vec![Engine::Legacy]),
-        "both" => Some(vec![Engine::Legacy, Engine::Predecoded]),
-        "all" => Some(vec![Engine::Legacy, Engine::Predecoded, Engine::Tabled]),
+        "all" => Some(vec![Engine::Legacy, Engine::Tabled]),
         _ => None,
     }
 }
@@ -983,7 +979,7 @@ mod tests {
                 kind: "kernel".into(),
                 name: "gcd".into(),
                 model: "region-pred".into(),
-                engine: "predecoded".into(),
+                engine: "legacy".into(),
                 iterations: 10,
                 cycles: 100,
                 commits: 5,
@@ -998,7 +994,7 @@ mod tests {
                 host: HostSample::default(),
             }],
             kernel_suite: vec![EngineAggregate {
-                engine: "predecoded".into(),
+                engine: "legacy".into(),
                 sim_cycles_total: 1000,
                 wall_seconds: 0.0,
                 cycles_per_second: 0.0,

@@ -20,8 +20,10 @@
 //! ```text
 //! repro fuzz [--seed S] [--runs N] [--time-budget SECS] [--jobs N]
 //!            [--corpus DIR] [--inject-recovery-bug]
-//!            [--engine tabled|predecoded|legacy]
+//!            [--engine tabled|legacy]
 //! ```
+//!
+//! One fuzz run drives one engine; `--engine all` is a usage error.
 //!
 //! The report (stdout) is byte-identical at any `--jobs` count for a
 //! fixed `--runs`; timing goes to stderr.  Failing cases are minimized
@@ -48,7 +50,7 @@
 //!
 //! ```text
 //! repro bench [--quick] [--deterministic] [--memory SPEC]
-//!             [--engine tabled|predecoded|legacy|both|all]
+//!             [--engine tabled|legacy|all]
 //!             [--check BASELINE.json] [--cache-check] [--tolerance FRAC]
 //!             [--jobs N] [--target-cycles N] [--out FILE]
 //! ```
@@ -82,15 +84,15 @@
 //!             [--check BASELINE.json] [--tolerance FRAC] [--out FILE]
 //! ```
 //!
-//! Grid dimensions: `kernel`, `model`, `width`, `sb`, `scan`,
-//! `latency`, `icache`, `dcache`, `batch` — unnamed dimensions keep the
-//! quick/full defaults.  `icache`/`dcache` values are cache specs or
-//! `off` (both off = the perfect-memory timing).  Numeric dimensions
-//! also accept ranges: `sb=1..64:pow2` walks powers of two,
-//! `latency=1..8` walks every value.  The JSON report (`psb-sweep-v1`)
-//! is byte-identical at any `--jobs`; `--deterministic` zeroes the wall
-//! timings and speedup so CI can `cmp` runs and gate counters against
-//! `baselines/sweep_baseline.json`.
+//! Grid dimensions: `kernel`, `model`, `width`, `sb`, `latency`,
+//! `icache`, `dcache`, `batch` — unnamed dimensions keep the quick/full
+//! defaults.  `icache`/`dcache` values are cache specs or `off` (both
+//! off = the perfect-memory timing).  Numeric dimensions also accept
+//! ranges: `sb=1..64:pow2` walks powers of two, `latency=1..8` walks
+//! every value.  Every lane runs the default indexed commit scan.  The
+//! JSON report (`psb-sweep-v2`) is byte-identical at any `--jobs`;
+//! `--deterministic` zeroes the wall timings and speedup so CI can `cmp`
+//! runs and gate counters against `baselines/sweep_baseline.json`.
 //!
 //! `serve` exposes the simulator as a service (see DESIGN.md §14):
 //!
@@ -497,8 +499,12 @@ fn main() {
                 }
             }
             "fuzz" => {
+                let [engine] = bench_params.engines[..] else {
+                    die("fuzz drives one engine per run: --engine tabled|legacy");
+                };
                 let p = FuzzParams {
                     jobs: params.jobs,
+                    engine,
                     ..fuzz_params.clone()
                 };
                 let tel = telemetry.as_ref().map(|_| Recorder::new(deterministic));
@@ -605,7 +611,7 @@ fn die(msg: &str) -> ! {
         "usage: repro [table2|table3|fig6|fig7|fig8|ablation-shadow|ablation-counter|ablation-unroll|metrics|compile|bench|sweep|trace|profile|fuzz|serve|loadgen|all] \
          [--size N] [--quick] [--json] [--jobs N] [--train-seed S] [--eval-seed S] \
          [--workload W[,W...]] [--model M|all] [--out FILE] [--deterministic] \
-         [--engine tabled|predecoded|legacy|both|all] [--check BASELINE.json] [--cache-check] [--tolerance FRAC] \
+         [--engine tabled|legacy|all] [--check BASELINE.json] [--cache-check] [--tolerance FRAC] \
          [--target-cycles N] [--telemetry [FILE]] [--grid \"dim=v1,v2;...\"] [--batch-width N] \
          [--seed S] [--runs N] [--time-budget SECS] [--corpus DIR] [--inject-recovery-bug] \
          [--memory perfect|fixed:LOAD:FETCH|cache[:I:D]] \

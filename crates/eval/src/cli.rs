@@ -145,15 +145,9 @@ impl Cli {
                 "--json" => cli.json = true,
                 "--deterministic" => cli.deterministic = true,
                 "--engine" => {
-                    let e = operand(&mut i, "tabled|predecoded|legacy|both|all")?;
-                    cli.bench_params.engines = parse_engines(&e).ok_or_else(|| {
-                        format!("unknown engine {e} (tabled|predecoded|legacy|both|all)")
-                    })?;
-                    // `repro fuzz` drives one engine per sweep; multi-engine
-                    // selections (`both`, `all`) stay bench-only.
-                    if let [single] = cli.bench_params.engines[..] {
-                        cli.fuzz_params.engine = single;
-                    }
+                    let e = operand(&mut i, "tabled|legacy|all")?;
+                    cli.bench_params.engines = parse_engines(&e)
+                        .ok_or_else(|| format!("unknown engine {e} (tabled|legacy|all)"))?;
                 }
                 "--target-cycles" => {
                     let v = operand(&mut i, "a number > 0")?;
@@ -368,7 +362,7 @@ mod tests {
         let cli = parse(&[
             "sweep",
             "--grid",
-            "sb=2,4;scan=naive",
+            "sb=2,4;latency=1..3",
             "--batch-width",
             "12",
             "--jobs",
@@ -379,7 +373,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(cli.what, "sweep");
-        assert_eq!(cli.grid.as_deref(), Some("sb=2,4;scan=naive"));
+        assert_eq!(cli.grid.as_deref(), Some("sb=2,4;latency=1..3"));
         assert_eq!(cli.batch_width, Some(12));
         assert_eq!(cli.params.jobs, 4);
         assert!(cli.deterministic);

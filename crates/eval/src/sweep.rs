@@ -2,7 +2,7 @@
 //! deterministic, gateable report.
 //!
 //! The paper could only sample its (issue-width × buffer-depth ×
-//! scan-strategy × model) design space; `repro sweep` explores a
+//! load-latency × model) design space; `repro sweep` explores a
 //! configurable grid of it exhaustively.  Each (kernel × model) pair
 //! compiles exactly once — the compile key deliberately excludes
 //! `MachineConfig`, so one artifact serves the whole machine grid — and
@@ -31,9 +31,7 @@ use crate::json::{Json, ToJson};
 use crate::runner::parallel_map;
 use crate::trace::parse_model;
 use psb_compile::{compile, ArtifactCache, CompileRequest, ProfileSource};
-use psb_core::{
-    CacheConfig, CommitScan, MachineConfig, MemoryModel, NullSink, ShadowMode, VliwResult,
-};
+use psb_core::{CacheConfig, MachineConfig, MemoryModel, NullSink, ShadowMode, VliwResult};
 use psb_scalar::{ScalarConfig, ScalarMachine};
 use psb_sched::{Model, SchedConfig};
 use psb_telemetry::round_us;
@@ -41,7 +39,10 @@ use std::time::Instant;
 
 /// Version string stamped into the sweep report; a mismatch against the
 /// baseline is a hard check failure.
-pub const SWEEP_SCHEMA_VERSION: &str = "psb-sweep-v1";
+/// v2: the commit-scan dimension is gone from the grid and the point
+/// key (every lane runs the default indexed scan, which is
+/// architecturally identical to the naive reference).
+pub const SWEEP_SCHEMA_VERSION: &str = "psb-sweep-v2";
 
 /// Timed-phase repetitions per artifact; the report keeps the fastest
 /// wall sample of each phase.
@@ -51,22 +52,6 @@ const MEASURE_REPS: usize = 7;
 /// sub-millisecond; stretching each sample over several executions
 /// keeps scheduler jitter from dominating a single `Instant` window.
 const MEASURE_INNER: u32 = 3;
-
-/// The stable report name of a commit-scan strategy.
-fn scan_name(s: CommitScan) -> &'static str {
-    match s {
-        CommitScan::Naive => "naive",
-        CommitScan::Indexed => "indexed",
-    }
-}
-
-fn parse_scan(s: &str) -> Option<CommitScan> {
-    match s {
-        "naive" => Some(CommitScan::Naive),
-        "indexed" => Some(CommitScan::Indexed),
-        _ => None,
-    }
-}
 
 /// The stable report name of a cache axis value: `"off"` or the
 /// `SETSxWAYSxLINExHITxMISS` spec.
@@ -85,7 +70,7 @@ fn parse_cache_axis(v: &str) -> Result<Option<CacheConfig>, String> {
 }
 
 /// The design-space grid one sweep explores.  The machine dimensions
-/// (width × sb × scan × latency) form the lane set of every
+/// (width × sb × latency × icache × dcache) form the lane set of every
 /// (kernel × model) artifact; their cross product is the sweep's point
 /// count.
 #[derive(Clone, PartialEq, Debug)]
@@ -98,9 +83,6 @@ pub struct SweepGrid {
     pub widths: Vec<usize>,
     /// Store-buffer depths.
     pub sb: Vec<usize>,
-    /// Commit-scan strategies (architecturally identical — their
-    /// byte-equal counters are themselves a differential check).
-    pub scans: Vec<CommitScan>,
     /// Load latencies in cycles.  Only meaningful for `off`-cache lanes
     /// (perfect memory); a lane with any cache takes its load and fetch
     /// timing from the cache specs instead.
@@ -123,8 +105,6 @@ pub struct LaneAxis {
     pub width: usize,
     /// Store-buffer depth.
     pub sb: usize,
-    /// Commit-scan strategy.
-    pub scan: CommitScan,
     /// Load latency (perfect-memory lanes only).
     pub latency: u64,
     /// Instruction cache, or `None` for single-cycle fetch.
@@ -150,14 +130,13 @@ impl LaneAxis {
 }
 
 impl SweepGrid {
-    /// The CI quick grid: 8 machine configs × 8 artifacts = 64 points.
+    /// The CI quick grid: 4 machine configs × 8 artifacts = 32 points.
     pub fn quick() -> SweepGrid {
         SweepGrid {
             kernels: crate::KERNELS.iter().map(|k| k.to_string()).collect(),
             models: vec![Model::RegionPred, Model::TracePred],
             widths: vec![4],
             sb: vec![4, 16],
-            scans: vec![CommitScan::Naive, CommitScan::Indexed],
             latencies: vec![2, 4],
             icaches: vec![None],
             dcaches: vec![None],
@@ -165,7 +144,7 @@ impl SweepGrid {
         }
     }
 
-    /// The default full grid: 48 machine configs × 8 artifacts = 384
+    /// The default full grid: 24 machine configs × 8 artifacts = 192
     /// points.
     pub fn full() -> SweepGrid {
         SweepGrid {
@@ -178,26 +157,22 @@ impl SweepGrid {
     }
 
     /// The machine-dimension cross product, in fixed nesting order
-    /// (width, then sb, then scan, then latency, then icache, then
-    /// dcache) — the lane order of every batch and the point order of
-    /// the report.
+    /// (width, then sb, then latency, then icache, then dcache) — the
+    /// lane order of every batch and the point order of the report.
     pub fn lane_axes(&self) -> Vec<LaneAxis> {
         let mut axes = Vec::new();
         for &w in &self.widths {
             for &sb in &self.sb {
-                for &scan in &self.scans {
-                    for &lat in &self.latencies {
-                        for &ic in &self.icaches {
-                            for &dc in &self.dcaches {
-                                axes.push(LaneAxis {
-                                    width: w,
-                                    sb,
-                                    scan,
-                                    latency: lat,
-                                    icache: ic,
-                                    dcache: dc,
-                                });
-                            }
+                for &lat in &self.latencies {
+                    for &ic in &self.icaches {
+                        for &dc in &self.dcaches {
+                            axes.push(LaneAxis {
+                                width: w,
+                                sb,
+                                latency: lat,
+                                icache: ic,
+                                dcache: dc,
+                            });
                         }
                     }
                 }
@@ -222,15 +197,6 @@ impl ToJson for SweepGrid {
             ),
             ("widths", self.widths.to_json()),
             ("sb", self.sb.to_json()),
-            (
-                "scans",
-                Json::Array(
-                    self.scans
-                        .iter()
-                        .map(|&s| scan_name(s).to_json())
-                        .collect::<Vec<_>>(),
-                ),
-            ),
             ("latencies", self.latencies.to_json()),
             (
                 "icaches",
@@ -257,9 +223,8 @@ impl ToJson for SweepGrid {
 
 /// Parses a `--grid` spec on top of `base`, overriding only the named
 /// dimensions.  The spec is `dim=v1,v2[;dim=...]` with dimensions
-/// `kernel`, `model`, `width`, `sb`, `scan`, `latency`, `icache`,
-/// `dcache` and `batch`
-/// (e.g. `"width=4,8;sb=2,16;scan=indexed;model=all"`).
+/// `kernel`, `model`, `width`, `sb`, `latency`, `icache`, `dcache` and
+/// `batch` (e.g. `"width=4,8;sb=2,16;latency=2,4;model=all"`).
 ///
 /// Numeric dimensions also accept ranges: `lo..hi` enumerates every
 /// value (inclusive) and `lo..hi:pow2` doubles from `lo` while within
@@ -371,14 +336,6 @@ pub fn parse_grid(spec: &str, base: SweepGrid) -> Result<SweepGrid, String> {
             }
             "width" => grid.widths = nums("width", &vals, 1)?,
             "sb" => grid.sb = nums("sb", &vals, 1)?,
-            "scan" => {
-                grid.scans = vals
-                    .iter()
-                    .map(|v| {
-                        parse_scan(v).ok_or_else(|| format!("grid scan `{v}` (naive|indexed)"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
             "latency" => grid.latencies = nums("latency", &vals, 1)?,
             "icache" => {
                 grid.icaches = vals
@@ -431,8 +388,6 @@ pub struct SweepPoint {
     pub width: usize,
     /// Store-buffer depth.
     pub sb: usize,
-    /// Commit-scan strategy name.
-    pub scan: String,
     /// Load latency in cycles.
     pub latency: u64,
     /// Instruction-cache axis name (`"off"` or the spec).
@@ -512,7 +467,6 @@ impl ToJson for SweepPoint {
             ("model", self.model.to_json()),
             ("width", self.width.to_json()),
             ("sb", self.sb.to_json()),
-            ("scan", self.scan.to_json()),
             ("latency", self.latency.to_json()),
             ("icache", self.icache.to_json()),
             ("dcache", self.dcache.to_json()),
@@ -587,7 +541,7 @@ impl ToJson for SweepArtifact {
     }
 }
 
-/// The whole sweep report (`psb-sweep-v1`).
+/// The whole sweep report (`psb-sweep-v2`).
 #[derive(Clone, PartialEq, Debug)]
 pub struct SweepReport {
     /// `"full"` or `"quick"`.
@@ -677,7 +631,6 @@ fn run_unit(kernel: &str, model: Model, grid: &SweepGrid, cache: &ArtifactCache)
             },
             fault_once_addrs: fault_once.clone(),
             store_buffer_size: ax.sb,
-            commit_scan: ax.scan,
             load_latency: ax.latency,
             memory: ax.memory(),
             ..MachineConfig::full_issue(ax.width)
@@ -804,11 +757,10 @@ fn run_unit(kernel: &str, model: Model, grid: &SweepGrid, cache: &ArtifactCache)
         assert_eq!(
             lane,
             solo,
-            "{kernel}/{model}: lane {i} (width={} sb={} scan={} latency={} icache={} \
-             dcache={}) diverged from its solo run",
+            "{kernel}/{model}: lane {i} (width={} sb={} latency={} icache={} dcache={}) \
+             diverged from its solo run",
             ax.width,
             ax.sb,
-            scan_name(ax.scan),
             ax.latency,
             cache_axis_name(&ax.icache),
             cache_axis_name(&ax.dcache)
@@ -828,7 +780,6 @@ fn run_unit(kernel: &str, model: Model, grid: &SweepGrid, cache: &ArtifactCache)
             model: model.name().to_string(),
             width: ax.width,
             sb: ax.sb,
-            scan: scan_name(ax.scan).to_string(),
             latency: ax.latency,
             icache: cache_axis_name(&ax.icache),
             dcache: cache_axis_name(&ax.dcache),
@@ -928,13 +879,12 @@ pub fn run_sweep(params: &SweepParams) -> SweepReport {
 }
 
 #[allow(clippy::type_complexity)]
-fn point_key(j: &Json) -> Option<(String, String, i64, i64, String, i64, String, String)> {
+fn point_key(j: &Json) -> Option<(String, String, i64, i64, i64, String, String)> {
     Some((
         j.get("kernel")?.as_str()?.to_string(),
         j.get("model")?.as_str()?.to_string(),
         j.get("width")?.as_i64()?,
         j.get("sb")?.as_i64()?,
-        j.get("scan")?.as_str()?.to_string(),
         j.get("latency")?.as_i64()?,
         j.get("icache")?.as_str()?.to_string(),
         j.get("dcache")?.as_str()?.to_string(),
@@ -994,18 +944,17 @@ pub fn check_sweep(current: &SweepReport, baseline: &Json, tolerance: f64) -> Be
             continue;
         };
         let label = format!(
-            "{}/{}/w{}/sb{}/{}/lat{}/i{}/d{}",
-            key.0, key.1, key.2, key.3, key.4, key.5, key.6, key.7
+            "{}/{}/w{}/sb{}/lat{}/i{}/d{}",
+            key.0, key.1, key.2, key.3, key.4, key.5, key.6
         );
         let Some(cur) = current.points.iter().find(|p| {
             p.kernel == key.0
                 && p.model == key.1
                 && p.width as i64 == key.2
                 && p.sb as i64 == key.3
-                && p.scan == key.4
-                && p.latency as i64 == key.5
-                && p.icache == key.6
-                && p.dcache == key.7
+                && p.latency as i64 == key.4
+                && p.icache == key.5
+                && p.dcache == key.6
         }) else {
             check
                 .failures
@@ -1109,9 +1058,8 @@ mod tests {
         SweepGrid {
             kernels: vec!["dotprod".to_string()],
             models: vec![Model::RegionPred],
-            widths: vec![4],
+            widths: vec![4, 8],
             sb: vec![4, 16],
-            scans: vec![CommitScan::Naive, CommitScan::Indexed],
             latencies: vec![2, 4],
             icaches: vec![None],
             dcaches: vec![None],
@@ -1130,9 +1078,9 @@ mod tests {
 
     #[test]
     fn grid_parse_overrides_only_named_dimensions() {
-        let g = parse_grid("sb=2,8;scan=naive;batch=5", SweepGrid::quick()).unwrap();
+        let g = parse_grid("sb=2,8;width=8;batch=5", SweepGrid::quick()).unwrap();
         assert_eq!(g.sb, vec![2, 8]);
-        assert_eq!(g.scans, vec![CommitScan::Naive]);
+        assert_eq!(g.widths, vec![8]);
         assert_eq!(g.batch_width, 5);
         // Untouched dimensions keep the base values.
         assert_eq!(g.kernels, SweepGrid::quick().kernels);
@@ -1177,7 +1125,7 @@ mod tests {
             "sb=0",
             "sb=four",
             "width",
-            "scan=quantum",
+            "scan=naive",
             "kernel=nope",
             "model=nope",
             "batch=2,4",
@@ -1200,7 +1148,6 @@ mod tests {
             LaneAxis {
                 width: 4,
                 sb: 4,
-                scan: CommitScan::Naive,
                 latency: 2,
                 icache: None,
                 dcache: None,
@@ -1209,9 +1156,8 @@ mod tests {
         assert_eq!(
             axes[7],
             LaneAxis {
-                width: 4,
+                width: 8,
                 sb: 16,
-                scan: CommitScan::Indexed,
                 latency: 4,
                 icache: None,
                 dcache: None,
@@ -1228,9 +1174,9 @@ mod tests {
     #[test]
     fn cache_axes_sweep_reports_miss_counters() {
         let mut grid = tiny_grid();
+        grid.widths = vec![4];
         grid.latencies = vec![2];
         grid.sb = vec![4];
-        grid.scans = vec![CommitScan::Indexed];
         grid.icaches = vec![None, Some(CacheConfig::parse("8x1x2x1x4").unwrap())];
         grid.dcaches = vec![None, Some(CacheConfig::parse("4x2x2x1x6").unwrap())];
         let report = run_sweep(&SweepParams {
@@ -1307,11 +1253,14 @@ mod tests {
             .iter()
             .any(|f| f.contains("grid mismatch")));
 
+        // A v1 baseline (points keyed by commit scan) is a schema mismatch.
         let mut doc = report.to_json();
         if let Json::Object(fields) = &mut doc {
-            fields[0].1 = Json::Str("psb-sweep-v0".to_string());
+            fields[0].1 = Json::Str("psb-sweep-v1".to_string());
         }
-        assert!(!check_sweep(&report, &doc, 0.2).passed());
+        let failures = check_sweep(&report, &doc, 0.2).failures;
+        let want = r#"schema_version mismatch: baseline "psb-sweep-v1", current "psb-sweep-v2""#;
+        assert!(failures.iter().any(|f| f == want), "{failures:?}");
 
         let missing = SweepReport {
             points: report.points[1..].to_vec(),

@@ -233,13 +233,7 @@ fn bench_engines_agree_cycle_for_cycle() {
         ])
     };
     let tabled = run("tabled");
-    let predecoded = run("predecoded");
     let legacy = run("legacy");
-    assert_eq!(
-        tabled,
-        predecoded.replace("\"engine\": \"predecoded\"", "\"engine\": \"tabled\""),
-        "tabled and predecoded engines disagree"
-    );
     assert_eq!(
         tabled,
         legacy.replace("\"engine\": \"legacy\"", "\"engine\": \"tabled\""),
@@ -391,6 +385,41 @@ fn bad_selections_exit_with_usage() {
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
     }
+}
+
+#[test]
+fn removed_engine_words_and_scan_dimension_are_usage_errors() {
+    for (args, msg) in [
+        (
+            &["bench", "--engine", "predecoded"][..],
+            "unknown engine predecoded (tabled|legacy|all)",
+        ),
+        (
+            &["bench", "--engine", "both"],
+            "unknown engine both (tabled|legacy|all)",
+        ),
+        (
+            &["sweep", "--quick", "--grid", "scan=naive"],
+            "unknown grid dimension `scan`",
+        ),
+        // One fuzz run drives one engine: `all` must not silently fuzz
+        // the default engine alone.
+        (
+            &["fuzz", "--runs", "1", "--engine", "all"],
+            "fuzz drives one engine per run",
+        ),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(msg) && stderr.contains("usage:"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    let report = stdout_of(&["fuzz", "--runs", "1", "--engine", "legacy"]);
+    assert!(report.contains("  engine         legacy\n"), "{report}");
 }
 
 #[test]

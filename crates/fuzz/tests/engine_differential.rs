@@ -1,15 +1,16 @@
-//! Differential proof that the pre-decoded and table-dispatched issue
-//! paths are observably identical to the legacy one.
+//! Differential proof that the table-dispatched issue path is observably
+//! identical to the legacy one.
 //!
-//! The pre-decoded engine replaces the per-cycle `MultiOp` clone and
-//! `SlotOp::srcs()` walk with a decoded arena and mask screens; the
-//! tabled engine goes further and drives issue entirely from generated
-//! function-pointer tables with fused per-slot handlers.  This property
-//! holds all three to the strongest available equality: on randomly
-//! generated fuzz programs (speculative exceptions, recoveries, region
-//! exits included), every engine must produce **byte-identical event
-//! logs** and equal [`VliwResult`]s — cycles, every counter, final
-//! registers and memory — under every scheduling model.
+//! The tabled engine replaces the legacy per-cycle `MultiOp` clone and
+//! `SlotOp::srcs()` walk with a decoded arena and mask screens, and
+//! drives issue from generated function-pointer tables with fused
+//! per-slot handlers.  The legacy engine reads the program itself, never
+//! the arena, so it is an independent reference.  This property holds
+//! the two to the strongest available equality: on randomly generated
+//! fuzz programs (speculative exceptions, recoveries, region exits
+//! included), both engines must produce **byte-identical event logs**
+//! and equal [`VliwResult`]s — cycles, every counter, final registers
+//! and memory — under every scheduling model.
 
 use proptest::prelude::*;
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};
@@ -67,23 +68,16 @@ proptest! {
                 sched: sched_cfg,
             })
             .expect("generated case compiles");
-            // Rotate the memory timing model by seed: the three-way
+            // Rotate the memory timing model by seed: the engine
             // equality must hold under cache misses and fetch stalls,
             // not just the paper's perfect memory.
             let memory = memory_rotation(seed);
             let legacy =
                 run_engine(&art, single_shadow, &case.fault_once, Engine::Legacy, memory);
-            let decoded =
-                run_engine(&art, single_shadow, &case.fault_once, Engine::Predecoded, memory);
             let tabled =
                 run_engine(&art, single_shadow, &case.fault_once, Engine::Tabled, memory);
             // VliwResult equality covers cycles, all RunStats counters,
             // final registers, final memory AND the recorded event log.
-            prop_assert_eq!(
-                &legacy, &decoded,
-                "legacy/predecoded divergence on seed {} model {} memory {}",
-                seed, model, memory
-            );
             prop_assert_eq!(
                 &legacy, &tabled,
                 "legacy/tabled divergence on seed {} model {} memory {}",
@@ -133,23 +127,12 @@ fn corpus_cases_are_engine_independent() {
                     Engine::Legacy,
                     memory,
                 );
-                let decoded = run_engine(
-                    &art,
-                    single_shadow,
-                    &case.fault_once,
-                    Engine::Predecoded,
-                    memory,
-                );
                 let tabled = run_engine(
                     &art,
                     single_shadow,
                     &case.fault_once,
                     Engine::Tabled,
                     memory,
-                );
-                assert_eq!(
-                    legacy, decoded,
-                    "{name}: legacy/predecoded divergence under {model} memory {memory}"
                 );
                 assert_eq!(
                     legacy, tabled,

@@ -25,12 +25,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-const ENGINES: [Engine; 3] = [Engine::Legacy, Engine::Predecoded, Engine::Tabled];
+const ENGINES: [Engine; 2] = [Engine::Legacy, Engine::Tabled];
 
 fn engine_name(e: Engine) -> &'static str {
     match e {
         Engine::Tabled => "tabled",
-        Engine::Predecoded => "predecoded",
         Engine::Legacy => "legacy",
     }
 }
