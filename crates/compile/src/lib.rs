@@ -350,15 +350,6 @@ impl CompiledArtifact {
         BatchedMachine::new(&self.program, Arc::clone(&self.decoded), cfgs).run()
     }
 
-    /// Like [`run_batch`](Self::run_batch), but with one caller-chosen
-    /// [`TraceSink`] per lane.
-    pub fn run_batch_with_sinks<S: TraceSink>(
-        &self,
-        lanes: Vec<(MachineConfig, S)>,
-    ) -> BatchReport<S> {
-        BatchedMachine::with_sinks(&self.program, Arc::clone(&self.decoded), lanes).run()
-    }
-
     /// Whether two artifacts carry identical semantic content (hash, key,
     /// profile, program, schedule stats and decoded arena), ignoring the
     /// host-dependent stage timings.  This is the oracle predicate:

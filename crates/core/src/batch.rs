@@ -30,8 +30,8 @@
 //! Lockstep is not measurably faster than solo runs of the same
 //! artifact: the `psbbench` sweep workload's traced
 //! `core.batch.solo_ratio` (solo time over batched time for the same
-//! grid) reads about 0.98.  The batch stays because `repro sweep` and
-//! that benchmark drive their grids through it.
+//! grid) reads 0.95–0.98, so `repro sweep` runs every point solo.  The
+//! batch stays only because that benchmark drives its grid through it.
 //!
 //! Lane failures are per-lane values, never batch failures: a config
 //! that fails admission, faults, or exceeds its cycle limit yields the

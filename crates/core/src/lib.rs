@@ -73,9 +73,7 @@ pub use decoded::{DecodedProgram, DecodedSlot, DecodedWord};
 pub use event::{audit_events, AuditViolation, Event, EventLog, StateLoc};
 pub use invariant::{InvariantSink, InvariantViolation};
 pub use machine::{RunStats, StepOutcome, VliwError, VliwMachine, VliwResult};
-pub use mem::{
-    CacheConfig, CacheModel, CacheProbe, MemCounters, MemoryModel, MemorySystem, MissKind,
-};
+pub use mem::{CacheConfig, CacheModel, CacheProbe, MemCounters, MemoryModel, MemorySystem};
 pub use obs::{
     CountersSink, CycleSample, Histogram, NullSink, ObsReport, OccupancyStats, RegionProfile,
     StallKind, TraceSink, WordProfile,

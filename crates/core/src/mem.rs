@@ -28,7 +28,6 @@
 //! accesses bypass the D$ at hit latency; fetch brings one word at a
 //! time and a word stays fetched while the front end stalls on it.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One parameterized set-associative cache level.
@@ -256,34 +255,16 @@ impl fmt::Display for MemoryModel {
     }
 }
 
-/// Why a cache miss missed, per the classic "three Cs".
-///
-/// Classification runs against two auxiliary structures fed the same
-/// access stream: a seen-lines set (first touch ⇒ [`MissKind::Cold`])
-/// and a fully-associative LRU shadow of equal total capacity (shadow
-/// hit ⇒ the direct-mapped/set-associative geometry is at fault ⇒
-/// [`MissKind::Conflict`]; shadow miss ⇒ the working set simply
-/// doesn't fit ⇒ [`MissKind::Capacity`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MissKind {
-    /// First-ever access to the line.
-    Cold,
-    /// A fully-associative cache of the same capacity would have hit.
-    Conflict,
-    /// The working set exceeds total capacity.
-    Capacity,
-}
-
 /// Outcome of one cache probe.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CacheProbe {
     /// The line was resident.
     Hit,
     /// The line was not resident; it is now (LRU fill).
-    Miss(MissKind),
+    Miss,
 }
 
-/// One set-associative LRU cache with miss classification.
+/// One set-associative LRU cache.
 #[derive(Clone, Debug)]
 pub struct CacheModel {
     cfg: CacheConfig,
@@ -292,21 +273,10 @@ pub struct CacheModel {
     /// Last-touch stamp per way, for LRU victim selection.
     lru: Vec<u64>,
     stamp: u64,
-    /// Every line ever touched (cold-miss detection).
-    seen: BTreeSet<u64>,
-    /// Fully-associative LRU shadow of equal total capacity
-    /// (conflict-vs-capacity classification); line → last-touch stamp.
-    shadow: BTreeMap<u64, u64>,
     /// Total probes.
     pub accesses: u64,
     /// Total misses.
     pub misses: u64,
-    /// Misses classified [`MissKind::Cold`].
-    pub cold_misses: u64,
-    /// Misses classified [`MissKind::Conflict`].
-    pub conflict_misses: u64,
-    /// Misses classified [`MissKind::Capacity`].
-    pub capacity_misses: u64,
 }
 
 impl CacheModel {
@@ -318,13 +288,8 @@ impl CacheModel {
             tags: vec![None; slots],
             lru: vec![0; slots],
             stamp: 0,
-            seen: BTreeSet::new(),
-            shadow: BTreeMap::new(),
             accesses: 0,
             misses: 0,
-            cold_misses: 0,
-            conflict_misses: 0,
-            capacity_misses: 0,
         }
     }
 
@@ -348,23 +313,10 @@ impl CacheModel {
         for way in 0..self.cfg.ways {
             if self.tags[base + way] == Some(line) {
                 self.lru[base + way] = self.stamp;
-                self.shadow_touch(line);
                 return CacheProbe::Hit;
             }
         }
         self.misses += 1;
-        let kind = if !self.seen.contains(&line) {
-            self.cold_misses += 1;
-            MissKind::Cold
-        } else if self.shadow.contains_key(&line) {
-            self.conflict_misses += 1;
-            MissKind::Conflict
-        } else {
-            self.capacity_misses += 1;
-            MissKind::Capacity
-        };
-        self.seen.insert(line);
-        self.shadow_touch(line);
         // LRU fill: an empty way if one exists, else the least
         // recently touched.
         let victim = (0..self.cfg.ways)
@@ -375,23 +327,7 @@ impl CacheModel {
             .expect("ways >= 1");
         self.tags[base + victim] = Some(line);
         self.lru[base + victim] = self.stamp;
-        CacheProbe::Miss(kind)
-    }
-
-    /// Feeds the fully-associative shadow the same access stream the
-    /// real cache sees, evicting its LRU line past capacity.
-    fn shadow_touch(&mut self, line: u64) {
-        self.shadow.insert(line, self.stamp);
-        let capacity = self.cfg.sets * self.cfg.ways;
-        if self.shadow.len() > capacity {
-            let evict = self
-                .shadow
-                .iter()
-                .min_by_key(|&(_, stamp)| *stamp)
-                .map(|(&l, _)| l)
-                .expect("shadow non-empty");
-            self.shadow.remove(&evict);
-        }
+        CacheProbe::Miss
     }
 }
 
@@ -487,7 +423,7 @@ impl MemorySystem {
                 let line = cache.line_of(pc as u64);
                 match cache.probe(line) {
                     CacheProbe::Hit => cache.cfg.hit_latency,
-                    CacheProbe::Miss(_) => cache.cfg.miss_latency,
+                    CacheProbe::Miss => cache.cfg.miss_latency,
                 }
             }
         };
@@ -513,7 +449,7 @@ impl MemorySystem {
                 let line = cache.line_of(addr.max(0) as u64);
                 match cache.probe(line) {
                     CacheProbe::Hit => (cache.cfg.hit_latency, false),
-                    CacheProbe::Miss(_) => (cache.cfg.miss_latency, true),
+                    CacheProbe::Miss => (cache.cfg.miss_latency, true),
                 }
             }
         }
@@ -585,19 +521,13 @@ mod tests {
     }
 
     /// Hand-computed trace on a direct-mapped 2-set, 1-way, 1-word-line
-    /// cache (capacity 2 lines) exercising all three miss classes.
+    /// cache (capacity 2 lines).
     ///
-    /// Accesses: 0, 2, 0, 1, 3, 1, 2 (even lines → set 0, odd → set 1;
-    /// the shadow is a 2-line fully-associative LRU)
-    /// - 0: cold miss              set0=0,       shadow {0}
-    /// - 2: cold miss, evicts 0    set0=2,       shadow {0,2}
-    /// - 0: shadow holds 0 → CONFLICT  set0=0,   shadow {2,0}→{2,0}
-    /// - 1: cold miss              set1=1,       shadow {0,1} (2 out)
-    /// - 3: cold miss, evicts 1    set1=3,       shadow {1,3} (0 out)
-    /// - 1: shadow holds 1 → CONFLICT  set1=1,   shadow {3,1}
-    /// - 2: seen, shadow {3,1} → CAPACITY
+    /// Accesses: 0, 2, 0, 1, 3, 1, 2 (even lines → set 0, odd → set 1).
+    /// Lines 0 and 2 keep evicting each other from set 0, and 1 and 3
+    /// from set 1, so every access misses.
     #[test]
-    fn miss_classification_matches_hand_computed_trace() {
+    fn direct_mapped_trace_matches_hand_computation() {
         let mut c = CacheModel::new(CacheConfig {
             sets: 2,
             ways: 1,
@@ -609,27 +539,14 @@ mod tests {
             .iter()
             .map(|&a| c.probe(a))
             .collect();
-        assert_eq!(
-            outcomes,
-            vec![
-                CacheProbe::Miss(MissKind::Cold),
-                CacheProbe::Miss(MissKind::Cold),
-                CacheProbe::Miss(MissKind::Conflict),
-                CacheProbe::Miss(MissKind::Cold),
-                CacheProbe::Miss(MissKind::Cold),
-                CacheProbe::Miss(MissKind::Conflict),
-                CacheProbe::Miss(MissKind::Capacity),
-            ]
-        );
+        assert_eq!(outcomes, vec![CacheProbe::Miss; 7]);
         assert_eq!(c.accesses, 7);
         assert_eq!(c.misses, 7);
-        assert_eq!(c.cold_misses, 4);
-        assert_eq!(c.conflict_misses, 2);
-        assert_eq!(c.capacity_misses, 1);
     }
 
     /// Same trace on a fully-associative cache of the same capacity:
-    /// the conflicts become hits, the capacity miss stays a miss.
+    /// the set-conflict misses become hits, and the final access to 2
+    /// (evicted as LRU by 1) still misses.
     #[test]
     fn fully_associative_turns_conflicts_into_hits() {
         let mut c = CacheModel::new(CacheConfig {
@@ -646,17 +563,16 @@ mod tests {
         assert_eq!(
             outcomes,
             vec![
-                CacheProbe::Miss(MissKind::Cold),
-                CacheProbe::Miss(MissKind::Cold),
+                CacheProbe::Miss,
+                CacheProbe::Miss,
                 CacheProbe::Hit,
-                CacheProbe::Miss(MissKind::Cold),
-                CacheProbe::Miss(MissKind::Cold),
+                CacheProbe::Miss,
+                CacheProbe::Miss,
                 CacheProbe::Hit,
-                CacheProbe::Miss(MissKind::Capacity),
+                CacheProbe::Miss,
             ]
         );
-        assert_eq!(c.conflict_misses, 0);
-        assert_eq!(c.capacity_misses, 1);
+        assert_eq!((c.accesses, c.misses), (7, 5));
     }
 
     #[test]
@@ -670,14 +586,12 @@ mod tests {
             hit_latency: 1,
             miss_latency: 10,
         });
-        assert_eq!(c.probe(0), CacheProbe::Miss(MissKind::Cold));
-        assert_eq!(c.probe(1), CacheProbe::Miss(MissKind::Cold));
+        assert_eq!(c.probe(0), CacheProbe::Miss);
+        assert_eq!(c.probe(1), CacheProbe::Miss);
         assert_eq!(c.probe(0), CacheProbe::Hit);
-        assert_eq!(c.probe(2), CacheProbe::Miss(MissKind::Cold));
+        assert_eq!(c.probe(2), CacheProbe::Miss);
         assert_eq!(c.probe(0), CacheProbe::Hit, "0 was MRU, must survive");
-        // The shadow has the same geometry here (fully associative, 2
-        // lines), so it evicted 1 too — a capacity miss, not conflict.
-        assert_eq!(c.probe(1), CacheProbe::Miss(MissKind::Capacity));
+        assert_eq!(c.probe(1), CacheProbe::Miss);
     }
 
     #[test]
@@ -689,9 +603,9 @@ mod tests {
             hit_latency: 1,
             miss_latency: 10,
         });
-        assert_eq!(c.probe(c.line_of(0)), CacheProbe::Miss(MissKind::Cold));
+        assert_eq!(c.probe(c.line_of(0)), CacheProbe::Miss);
         assert_eq!(c.probe(c.line_of(3)), CacheProbe::Hit, "same 4-word line");
-        assert_eq!(c.probe(c.line_of(4)), CacheProbe::Miss(MissKind::Cold));
+        assert_eq!(c.probe(c.line_of(4)), CacheProbe::Miss);
     }
 
     #[test]

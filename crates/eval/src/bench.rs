@@ -741,13 +741,79 @@ impl BenchCheck {
     }
 }
 
-fn point_key(j: &Json) -> Option<(String, String, String, String)> {
-    Some((
-        j.get("kind")?.as_str()?.to_string(),
-        j.get("name")?.as_str()?.to_string(),
-        j.get("model")?.as_str()?.to_string(),
-        j.get("engine")?.as_str()?.to_string(),
-    ))
+/// The keyed-points half of a baseline gate, shared by [`check_report`]
+/// and [`check_sweep`](crate::check_sweep).
+///
+/// Every point of `baseline["points"]` must appear in `current`, matched
+/// on the `keys` fields, with every `counters` field equal.  An empty
+/// baseline, a baseline point without its key fields, a missing point, a
+/// counter the baseline point lacks and a differing counter are hard
+/// failures, labelled by the point's joined key values; current points
+/// the baseline lacks are a note.  Returns the matched (label, baseline
+/// point, current point) triples for the caller's own comparisons.
+pub(crate) fn check_points<'a>(
+    check: &mut BenchCheck,
+    baseline: &'a Json,
+    current: &'a [Json],
+    keys: &[&str],
+    counters: &[&str],
+) -> Vec<(String, &'a Json, &'a Json)> {
+    let base_points = baseline
+        .get("points")
+        .and_then(Json::as_array)
+        .unwrap_or_default();
+    if base_points.is_empty() {
+        check.failures.push("baseline has no points".to_string());
+    }
+    let mut matched = Vec::new();
+    for bp in base_points {
+        let Some(key) = keys.iter().map(|k| bp.get(k)).collect::<Option<Vec<_>>>() else {
+            check
+                .failures
+                .push("baseline point is missing identity fields".to_string());
+            continue;
+        };
+        let label = key
+            .iter()
+            .map(|v| match v {
+                Json::Str(s) => s.clone(),
+                other => other.pretty(),
+            })
+            .collect::<Vec<_>>()
+            .join("/");
+        let Some(cur) = current
+            .iter()
+            .find(|c| keys.iter().zip(&key).all(|(k, &v)| c.get(k) == Some(v)))
+        else {
+            check
+                .failures
+                .push(format!("{label}: point missing from current run"));
+            continue;
+        };
+        for field in counters {
+            let got = cur
+                .get(field)
+                .and_then(Json::as_i64)
+                .unwrap_or_else(|| panic!("current point lacks counter {field}"));
+            match bp.get(field).and_then(Json::as_i64) {
+                Some(want) if want == got => {}
+                Some(want) => check.failures.push(format!(
+                    "{label}: determinism breakage: {field} was {want}, now {got}"
+                )),
+                None => check
+                    .failures
+                    .push(format!("{label}: baseline point lacks {field}")),
+            }
+        }
+        matched.push((label, bp, cur));
+    }
+    if matched.len() < current.len() {
+        check.notes.push(format!(
+            "{} point(s) in the current run are not in the baseline",
+            current.len() - matched.len()
+        ));
+    }
+    matched
 }
 
 /// Compares `current` against the checked-in `baseline` document.
@@ -789,73 +855,35 @@ pub fn check_report(current: &BenchReport, baseline: &Json, tolerance: f64) -> B
             .push("baseline has no memory model".to_string()),
     }
 
-    let empty = Vec::new();
-    let base_points = baseline
-        .get("points")
-        .and_then(Json::as_array)
-        .unwrap_or(&empty);
-    if base_points.is_empty() {
-        check.failures.push("baseline has no points".to_string());
-    }
-
-    let mut matched = 0usize;
-    let mut wall_skipped = 0usize;
-    for bp in base_points {
-        let Some(key) = point_key(bp) else {
-            check
-                .failures
-                .push("baseline point is missing identity fields".to_string());
-            continue;
-        };
-        let label = format!("{}/{}/{}/{}", key.0, key.1, key.2, key.3);
-        let Some(cur) = current.points.iter().find(|p| {
-            (
-                p.kind.as_str(),
-                p.name.as_str(),
-                p.model.as_str(),
-                p.engine.as_str(),
-            ) == (
-                key.0.as_str(),
-                key.1.as_str(),
-                key.2.as_str(),
-                key.3.as_str(),
-            )
-        }) else {
-            check
-                .failures
-                .push(format!("{label}: point missing from current run"));
-            continue;
-        };
-        matched += 1;
-        for (field, got) in [
-            ("iterations", cur.iterations),
-            ("cycles", cur.cycles),
-            ("commits", cur.commits),
-            ("squashes", cur.squashes),
-            ("recoveries", cur.recoveries),
-            ("stall_ifetch", cur.stall_ifetch),
-            ("stall_load_miss", cur.stall_load_miss),
-            ("icache_accesses", cur.icache_accesses),
-            ("icache_misses", cur.icache_misses),
-            ("dcache_accesses", cur.dcache_accesses),
-            ("dcache_misses", cur.dcache_misses),
-        ] {
-            match bp.get(field).and_then(Json::as_i64) {
-                Some(want) if want == got as i64 => {}
-                Some(want) => check.failures.push(format!(
-                    "{label}: determinism breakage: {field} was {want}, now {got}"
-                )),
-                None => check
-                    .failures
-                    .push(format!("{label}: baseline point lacks {field}")),
-            }
-        }
-        let base_wall = bp
-            .get("host")
+    let points: Vec<Json> = current.points.iter().map(ToJson::to_json).collect();
+    let matched = check_points(
+        &mut check,
+        baseline,
+        &points,
+        &["kind", "name", "model", "engine"],
+        &[
+            "iterations",
+            "cycles",
+            "commits",
+            "squashes",
+            "recoveries",
+            "stall_ifetch",
+            "stall_load_miss",
+            "icache_accesses",
+            "icache_misses",
+            "dcache_accesses",
+            "dcache_misses",
+        ],
+    );
+    let wall = |p: &Json| {
+        p.get("host")
             .and_then(|h| h.get("wall_seconds"))
             .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let cur_wall = cur.host.wall_seconds;
+            .unwrap_or(0.0)
+    };
+    let mut wall_skipped = 0usize;
+    for (label, bp, cur) in matched {
+        let (base_wall, cur_wall) = (wall(bp), wall(cur));
         if base_wall > 0.0 && cur_wall > 0.0 {
             let ratio = cur_wall / base_wall;
             if ratio > 1.0 + tolerance {
@@ -881,12 +909,6 @@ pub fn check_report(current: &BenchReport, baseline: &Json, tolerance: f64) -> B
         check.notes.push(format!(
             "wall-time comparison skipped for {wall_skipped} point(s): baseline or current \
              run has zeroed host timings (--deterministic); counters were still checked"
-        ));
-    }
-    if matched < current.points.len() {
-        check.notes.push(format!(
-            "{} point(s) in the current run are not in the baseline",
-            current.points.len() - matched
         ));
     }
     check

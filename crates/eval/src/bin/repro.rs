@@ -73,26 +73,26 @@
 //! `metrics`), so CI can byte-compare two runs.
 //!
 //! `sweep` explores a machine-configuration grid of one compiled
-//! artifact per (kernel × model) pair on the batched lockstep engine
-//! (see DESIGN.md §15), measuring the aggregate speedup over
-//! point-at-a-time execution and holding every lane byte-equal to its
-//! solo run:
+//! artifact per (kernel × model) pair (see DESIGN.md §15): it loads the
+//! kernel, runs the golden model and compiles once per pair, then runs
+//! every configuration once and checks it against the golden model:
 //!
 //! ```text
-//! repro sweep [--quick] [--deterministic] [--jobs N]
-//!             [--grid "dim=v1,v2;..."] [--batch-width N]
-//!             [--check BASELINE.json] [--tolerance FRAC] [--out FILE]
+//! repro sweep [--quick] [--jobs N] [--grid "dim=v1,v2;..."]
+//!             [--check BASELINE.json] [--out FILE]
 //! ```
 //!
 //! Grid dimensions: `kernel`, `model`, `width`, `sb`, `latency`,
-//! `icache`, `dcache`, `batch` — unnamed dimensions keep the quick/full
-//! defaults.  `icache`/`dcache` values are cache specs or `off` (both
-//! off = the perfect-memory timing).  Numeric dimensions also accept
-//! ranges: `sb=1..64:pow2` walks powers of two, `latency=1..8` walks
-//! every value.  Every lane runs the default indexed commit scan.  The
-//! JSON report (`psb-sweep-v2`) is byte-identical at any `--jobs`;
-//! `--deterministic` zeroes the wall timings and speedup so CI can `cmp`
-//! runs and gate counters against `baselines/sweep_baseline.json`.
+//! `icache`, `dcache` — unnamed dimensions keep the quick/full
+//! defaults.  Widths must be at least the schedule's issue width (4).
+//! `icache`/`dcache` values are cache specs or `off` (both off = the
+//! perfect-memory timing).  Numeric dimensions also accept ranges:
+//! `sb=1..64:pow2` walks powers of two, `latency=1..8` walks every
+//! value.  Every run uses the default indexed commit scan.  The JSON
+//! report (`psb-sweep-v3`) holds simulated counters only, so it is
+//! byte-identical at any `--jobs`, and CI can `cmp` runs and gate
+//! counters against `baselines/sweep_baseline.json`; the wall time goes
+//! to stderr.
 //!
 //! `serve` exposes the simulator as a service (see DESIGN.md §14):
 //!
@@ -139,6 +139,7 @@ use psb_eval::{
 };
 use psb_serve::{render_report, run_loadgen, serve, LoadgenConfig, ServeConfig};
 use psb_telemetry::{NullTelemetry, Recorder};
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -163,7 +164,6 @@ fn main() {
         store,
         requests,
         grid,
-        batch_width,
         memory,
         store_max_bytes,
         read_timeout_ms,
@@ -443,31 +443,26 @@ fn main() {
                 } else {
                     SweepGrid::full()
                 };
-                let mut g = match &grid {
+                let g = match &grid {
                     Some(spec) => parse_grid(spec, base).unwrap_or_else(|e| die(&e)),
                     None => base,
                 };
-                if let Some(b) = batch_width {
-                    g.batch_width = b;
-                }
                 let sp = SweepParams {
                     quick: bench_params.quick,
-                    deterministic,
                     jobs: params.jobs,
                     grid: g,
                 };
+                let start = Instant::now();
                 let report = run_sweep(&sp);
                 eprint!("{}", render_sweep(&report));
+                eprintln!("wall time {:.3}s", start.elapsed().as_secs_f64());
                 let mut failed = false;
                 if let Some(path) = &check {
                     let text = std::fs::read_to_string(path)
                         .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
                     let baseline = Json::parse(&text)
                         .unwrap_or_else(|e| die(&format!("{path}: bad baseline JSON: {e}")));
-                    let outcome = check_sweep(&report, &baseline, tolerance);
-                    for warning in &outcome.warnings {
-                        println!("::warning title=sweep regression::{warning}");
-                    }
+                    let outcome = check_sweep(&report, &baseline);
                     eprint!("{}", outcome.render(path));
                     if !outcome.passed() {
                         failed = true;
@@ -612,7 +607,7 @@ fn die(msg: &str) -> ! {
          [--size N] [--quick] [--json] [--jobs N] [--train-seed S] [--eval-seed S] \
          [--workload W[,W...]] [--model M|all] [--out FILE] [--deterministic] \
          [--engine tabled|legacy|all] [--check BASELINE.json] [--cache-check] [--tolerance FRAC] \
-         [--target-cycles N] [--telemetry [FILE]] [--grid \"dim=v1,v2;...\"] [--batch-width N] \
+         [--target-cycles N] [--telemetry [FILE]] [--grid \"dim=v1,v2;...\"] \
          [--seed S] [--runs N] [--time-budget SECS] [--corpus DIR] [--inject-recovery-bug] \
          [--memory perfect|fixed:LOAD:FETCH|cache[:I:D]] \
          [--addr HOST:PORT] [--queue-depth N] [--cycle-budget N] [--store DIR] \

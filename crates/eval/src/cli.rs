@@ -54,8 +54,6 @@ pub struct Cli {
     pub requests: usize,
     /// `--grid SPEC` for `sweep` (dimension overrides, `dim=v1,v2;...`).
     pub grid: Option<String>,
-    /// `--batch-width N` for `sweep` (lanes per lockstep batch).
-    pub batch_width: Option<usize>,
     /// `--memory SPEC` for `bench` and the profiling subcommands
     /// (`perfect | fixed:LOAD:FETCH | cache[:I:D]`).
     pub memory: Option<MemoryModel>,
@@ -89,7 +87,6 @@ impl Default for Cli {
             store: None,
             requests: 100,
             grid: None,
-            batch_width: None,
             memory: None,
             store_max_bytes: None,
             read_timeout_ms: 10_000,
@@ -245,14 +242,6 @@ impl Cli {
                     cli.memory = Some(m);
                 }
                 "--grid" => cli.grid = Some(operand(&mut i, "a grid spec (dim=v1,v2;...)")?),
-                "--batch-width" => {
-                    let v = operand(&mut i, "a number >= 1")?;
-                    let b: usize = num("--batch-width", &v, "a number >= 1")?;
-                    if b == 0 {
-                        return Err("--batch-width needs a number >= 1".to_string());
-                    }
-                    cli.batch_width = Some(b);
-                }
                 "--requests" => {
                     let v = operand(&mut i, "a number")?;
                     cli.requests = num("--requests", &v, "a number")?;
@@ -363,8 +352,6 @@ mod tests {
             "sweep",
             "--grid",
             "sb=2,4;latency=1..3",
-            "--batch-width",
-            "12",
             "--jobs",
             "4",
             "--deterministic",
@@ -374,15 +361,15 @@ mod tests {
         .unwrap();
         assert_eq!(cli.what, "sweep");
         assert_eq!(cli.grid.as_deref(), Some("sb=2,4;latency=1..3"));
-        assert_eq!(cli.batch_width, Some(12));
         assert_eq!(cli.params.jobs, 4);
         assert!(cli.deterministic);
         assert_eq!(cli.check.as_deref(), Some("baselines/sweep_baseline.json"));
-        // The shared numeric validation applies to the new flag too.
-        for bad in ["0", "-3", "wide", ""] {
-            assert!(parse(&["sweep", "--batch-width", bad]).is_err(), "{bad}");
-        }
         assert!(parse(&["sweep", "--grid"]).is_err());
+        // Every grid point runs once, solo: there is no batch to size.
+        assert_eq!(
+            parse(&["sweep", "--batch-width", "4"]).unwrap_err(),
+            "unknown flag --batch-width"
+        );
     }
 
     #[test]

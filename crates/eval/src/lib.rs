@@ -67,8 +67,8 @@ pub use runner::{
     BenchResult, EvalParams, JobsParseError, MetricsHost, ModelResult, RunMetrics, BENCHMARKS,
 };
 pub use sweep::{
-    check_sweep, parse_grid, render_sweep, run_sweep, SweepArtifact, SweepGrid, SweepHost,
-    SweepParams, SweepPoint, SweepReport, SWEEP_SCHEMA_VERSION,
+    check_sweep, parse_grid, render_sweep, run_sweep, SweepGrid, SweepParams, SweepPoint,
+    SweepReport, SWEEP_SCHEMA_VERSION,
 };
 pub use telemetry_export::{
     cache_stats_json, merged_chrome_trace, record_cache_stats, render_telemetry,

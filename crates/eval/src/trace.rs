@@ -18,13 +18,14 @@
 //! speculative exceptions are instant events (`ph:"i"`).
 
 use crate::json::{Json, ToJson};
-use crate::runner::{parallel_map, EvalParams, BENCHMARKS};
-use psb_compile::{compile, ArtifactCache, CompileRequest, CompiledArtifact, ProfileSource};
-use psb_core::{CountersSink, Event, Histogram, MachineConfig, ObsReport, OccupancyStats};
+use crate::runner::{parallel_map, run_scalar, EvalParams, BENCHMARKS};
+use psb_compile::{compile, ArtifactCache, CompileRequest, ProfileSource};
+use psb_core::{
+    CountersSink, Event, EventLog, Histogram, ObsReport, OccupancyStats, TraceSink, VliwResult,
+};
 use psb_scalar::ScalarConfig;
 use psb_sched::Model;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// One traced or profiled (workload, model) point.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,15 +72,20 @@ pub fn parse_model(name: &str) -> Option<Model> {
     Model::ALL.iter().copied().find(|m| m.name() == name)
 }
 
-fn compile_point(
+/// Compiles one point, runs it feeding `sink`, and holds the run's
+/// observable state equal to the scalar golden model's on the same
+/// evaluation input.
+fn run_point<S: TraceSink>(
     p: &ObsPoint,
     params: &EvalParams,
     cache: &ArtifactCache,
-) -> (Arc<CompiledArtifact>, MachineConfig) {
+    sink: S,
+) -> (VliwResult, S) {
     let train = psb_workloads::by_name(p.workload, params.train_seed, params.size)
         .unwrap_or_else(|| panic!("unknown workload {}", p.workload));
     let eval = psb_workloads::by_name(p.workload, params.eval_seed, params.size)
         .unwrap_or_else(|| panic!("unknown workload {}", p.workload));
+    let scalar = run_scalar(&eval);
     let req = CompileRequest {
         program: &eval.program,
         profile: ProfileSource::Train {
@@ -90,7 +96,17 @@ fn compile_point(
     };
     let art = compile(&req, cache)
         .unwrap_or_else(|e| panic!("{}/{}: compile failed: {e}", p.workload, p.model));
-    (art, params.machine_config())
+    let (res, sink) = art
+        .run_with_sink(params.machine_config(), sink)
+        .unwrap_or_else(|e| panic!("{}/{}: machine error: {e}", p.workload, p.model));
+    assert_eq!(
+        res.observable(&eval.program.live_out),
+        scalar.observable(&eval.program.live_out),
+        "{}/{}: diverged from the scalar golden model",
+        p.workload,
+        p.model
+    );
+    (res, sink)
 }
 
 /// One run's recorded event stream (for the Chrome trace exporter).
@@ -110,11 +126,7 @@ pub struct RunTrace {
 pub fn collect_traces(points: &[ObsPoint], params: &EvalParams) -> Vec<RunTrace> {
     let cache = ArtifactCache::new();
     parallel_map(points, params.jobs, |p| {
-        let (art, mut mcfg) = compile_point(p, params, &cache);
-        mcfg.record_events = true;
-        let res = art
-            .run(mcfg)
-            .unwrap_or_else(|e| panic!("{}/{}: machine error: {e}", p.workload, p.model));
+        let (res, _) = run_point(p, params, &cache, EventLog::new(true));
         RunTrace {
             workload: p.workload.to_string(),
             model: p.model.name().to_string(),
@@ -149,10 +161,7 @@ pub struct RunProfile {
 pub fn collect_profiles(points: &[ObsPoint], params: &EvalParams) -> Vec<RunProfile> {
     let cache = ArtifactCache::new();
     parallel_map(points, params.jobs, |p| {
-        let (art, mcfg) = compile_point(p, params, &cache);
-        let (res, sink) = art
-            .run_with_sink(mcfg, CountersSink::new())
-            .unwrap_or_else(|e| panic!("{}/{}: machine error: {e}", p.workload, p.model));
+        let (res, sink) = run_point(p, params, &cache, CountersSink::new());
         RunProfile {
             workload: p.workload.to_string(),
             model: p.model.name().to_string(),

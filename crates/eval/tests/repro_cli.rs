@@ -402,6 +402,16 @@ fn removed_engine_words_and_scan_dimension_are_usage_errors() {
             &["sweep", "--quick", "--grid", "scan=naive"],
             "unknown grid dimension `scan`",
         ),
+        // Every sweep point runs once, solo: there is no lockstep batch
+        // to size, by flag or by grid dimension.
+        (
+            &["sweep", "--quick", "--batch-width", "4"],
+            "unknown flag --batch-width",
+        ),
+        (
+            &["sweep", "--quick", "--grid", "batch=4"],
+            "unknown grid dimension `batch`",
+        ),
         // One fuzz run drives one engine: `all` must not silently fuzz
         // the default engine alone.
         (
@@ -420,6 +430,23 @@ fn removed_engine_words_and_scan_dimension_are_usage_errors() {
     }
     let report = stdout_of(&["fuzz", "--runs", "1", "--engine", "legacy"]);
     assert!(report.contains("  engine         legacy\n"), "{report}");
+}
+
+#[test]
+fn sweep_width_below_the_schedule_width_is_a_usage_error() {
+    // Every sweep model is scheduled 4-wide, so a narrower machine
+    // cannot admit the words: the grid is rejected before anything runs.
+    for w in ["2", "3"] {
+        let out = repro(&["sweep", "--quick", "--grid", &format!("width={w}")]);
+        assert_eq!(out.status.code(), Some(2), "width={w}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let msg = format!("grid `width` value {w} is below the schedule's issue width 4");
+        assert!(
+            stderr.contains(&msg) && stderr.contains("usage:"),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "width={w} ran anyway");
+    }
 }
 
 #[test]
