@@ -29,10 +29,18 @@ pub enum CommitScan {
     /// of the paper's per-entry commit hardware.  O(buffered) per cycle even
     /// when nothing can have changed.  Kept as the reference oracle.
     Naive,
-    /// Condition-indexed wakeup lists: each buffered entry subscribes to the
-    /// CCR slots its predicate mentions, and a pass re-evaluates only entries
-    /// subscribed to a condition that changed since the previous pass, plus
-    /// entries buffered since then.  O(active) per cycle.
+    /// Re-evaluate only the entries a changed condition or a new write can
+    /// affect.  The register file keeps one-word [`RegSet`] wakeup lists,
+    /// one per CCR slot, plus a pending set of registers written since the
+    /// previous pass, and wakes the lists of every condition that changed.
+    /// The store buffer keeps a watermark, the newest entry id the previous
+    /// pass saw: it skips the pass when the CCR is unchanged and nothing
+    /// was appended, and otherwise walks its FIFO (at most `capacity`
+    /// entries, so no per-condition index pays) resolving the entries
+    /// appended since plus those whose predicate mentions a changed
+    /// condition.  Both emit the naive scan's events in its order.
+    ///
+    /// [`RegSet`]: psb_isa::RegSet
     #[default]
     Indexed,
 }

@@ -5,7 +5,7 @@
 //! [`SlotOp::srcs`] (another allocation per slot) to screen for operand
 //! hazards.  The tabled engine instead reads an arena decoded once at
 //! machine construction: `Copy` slots whose source-register sets are
-//! pre-folded into bitmasks, plus per-word metadata that lets the issue
+//! pre-folded into [`RegSet`] masks, plus per-word metadata that lets the issue
 //! loop skip the store/control prepass and the fall-through region lookup
 //! when they cannot matter.  The per-cycle issue loop is then
 //! allocation-free and hazard screening is a single mask intersection per
@@ -22,10 +22,7 @@
 //! fuzz harness holds the engines to byte-identical event logs.
 
 use crate::dispatch;
-use psb_isa::{Op, Predicate, SlotOp, VliwProgram, NUM_REGS};
-
-// Source-register sets are u64 bitmasks.
-const _: () = assert!(NUM_REGS <= 64, "register masks are u64");
+use psb_isa::{Op, Predicate, RegSet, SlotOp, VliwProgram};
 
 /// One decoded slot: the predicate and operation copied out of the
 /// program, plus the set of registers the operation reads.
@@ -35,9 +32,9 @@ pub struct DecodedSlot {
     pub pred: Predicate,
     /// The operation.
     pub op: SlotOp,
-    /// Bit `r` set iff the operation reads register `r` (shadow or
-    /// sequential source alike — both stall on an in-flight write).
-    pub src_mask: u64,
+    /// The registers the operation reads (shadow or sequential source
+    /// alike — both stall on an in-flight write).
+    pub src_mask: RegSet,
     /// Index into the generated slot-handler dispatch tables: the slot's
     /// op kind fused with whether its predicate is `alw`.  Derived by
     /// [`DecodedProgram::decode`] and re-checked at machine construction
@@ -55,7 +52,7 @@ pub struct DecodedWord {
     /// Union of the slots' [`DecodedSlot::src_mask`]s: when it does not
     /// intersect the in-flight destination mask, no slot can stall on an
     /// operand and the per-slot hazard check is skipped.
-    pub src_union: u64,
+    pub src_union: RegSet,
     /// Number of store slots (counted regardless of predicate).  Zero lets
     /// the issue loop skip the store-buffer overflow prepass entirely.
     pub store_slots: u8,
@@ -85,12 +82,9 @@ pub struct DecodedProgram {
     pub slots: Vec<DecodedSlot>,
 }
 
-/// The set of registers read by `op`, as a bitmask.
-fn src_mask(op: &SlotOp) -> u64 {
-    op.srcs()
-        .iter()
-        .filter_map(|s| s.as_reg())
-        .fold(0, |m, r| m | (1u64 << r.index()))
+/// The set of registers read by `op`.
+fn src_mask(op: &SlotOp) -> RegSet {
+    op.srcs().iter().filter_map(|s| s.as_reg()).collect()
 }
 
 impl DecodedProgram {
@@ -102,13 +96,13 @@ impl DecodedProgram {
         let mut slots = Vec::with_capacity(prog.words.iter().map(|w| w.slots.len()).sum());
         for (addr, word) in prog.words.iter().enumerate() {
             let first_slot = slots.len() as u32;
-            let mut src_union = 0u64;
+            let mut src_union = RegSet::EMPTY;
             let mut store_slots = 0u8;
             let mut any_control = false;
             let mut any_cond = false;
             for slot in &word.slots {
                 let mask = src_mask(&slot.op);
-                src_union |= mask;
+                src_union = src_union.union(mask);
                 any_cond |= !slot.pred.is_always();
                 match slot.op {
                     SlotOp::Op(Op::Store { .. }) => store_slots += 1,
@@ -262,6 +256,10 @@ mod tests {
         }
     }
 
+    fn regs(indices: &[usize]) -> RegSet {
+        indices.iter().map(|&i| Reg::new(i)).collect()
+    }
+
     #[test]
     fn decode_masks_and_metadata() {
         let d = DecodedProgram::decode(&prog());
@@ -270,14 +268,14 @@ mod tests {
 
         let w0 = &d.words[0];
         assert_eq!((w0.first_slot, w0.num_slots), (0, 2));
-        assert_eq!(w0.src_union, 0b11110);
+        assert_eq!(w0.src_union, regs(&[1, 2, 3, 4]));
         assert_eq!(w0.store_slots, 1);
         assert!(!w0.falls_into_region);
-        assert_eq!(d.slots[0].src_mask, 0b00110);
-        assert_eq!(d.slots[1].src_mask, 0b11000);
+        assert_eq!(d.slots[0].src_mask, regs(&[1, 2]));
+        assert_eq!(d.slots[1].src_mask, regs(&[3, 4]));
 
         let w1 = &d.words[1];
-        assert_eq!(w1.src_union, 0);
+        assert_eq!(w1.src_union, RegSet::EMPTY);
         assert_eq!(w1.store_slots, 0);
         assert!(w1.falls_into_region, "W2 is a region start");
 
@@ -383,7 +381,7 @@ mod tests {
             a: Src::imm(3),
             b: Src::reg(r(7)),
         });
-        assert_eq!(src_mask(&op), 1 << 7);
-        assert_eq!(src_mask(&SlotOp::Jump { target: 0 }), 0);
+        assert_eq!(src_mask(&op), regs(&[7]));
+        assert_eq!(src_mask(&SlotOp::Jump { target: 0 }), RegSet::EMPTY);
     }
 }

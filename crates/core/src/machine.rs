@@ -33,7 +33,7 @@ use crate::regfile::PredicatedRegFile;
 use crate::storebuf::PredicatedStoreBuffer;
 use psb_isa::{
     AluOp, Ccr, CmpOp, Cond, CondReg, FuClass, MemFault, Memory, MultiOp, Op, Predicate, Reg,
-    SlotOp, Src, VliwProgram, NUM_REGS,
+    RegSet, SlotOp, Src, VliwProgram, NUM_REGS,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -555,26 +555,24 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         }
     }
 
-    /// Bitmask of registers targeted by in-flight writes (the tabled
-    /// engine's hazard screen intersects this with the word's source union).
+    /// Registers targeted by in-flight writes (the tabled engine's hazard
+    /// screen intersects this with the word's source union).
     #[inline]
-    fn inflight_dest_mask(&self) -> u64 {
-        self.inflight
-            .iter()
-            .fold(0u64, |m, f| m | (1u64 << f.dest.index()))
+    fn inflight_dest_mask(&self) -> RegSet {
+        self.inflight.iter().map(|f| f.dest).collect()
     }
 
-    /// Bitmask of registers whose in-flight write matures in a *later*
-    /// cycle.  Entries maturing this cycle are excluded: they write back
-    /// before this word's direct writes apply, so program order holds
-    /// without an interlock.
+    /// Registers whose in-flight write matures in a *later* cycle.  Entries
+    /// maturing this cycle are excluded: they write back before this word's
+    /// direct writes apply, so program order holds without an interlock.
     #[inline]
-    fn waw_pending_mask(&self) -> u64 {
+    fn waw_pending_mask(&self) -> RegSet {
         let cycle = self.cycle;
         self.inflight
             .iter()
             .filter(|f| f.ready_end > cycle)
-            .fold(0u64, |m, f| m | (1u64 << f.dest.index()))
+            .map(|f| f.dest)
+            .collect()
     }
 
     /// Whether any in-flight write targets a register read by a live slot
@@ -600,10 +598,10 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                     }
                 }
             }
-            if pending != 0 {
+            if !pending.is_empty() {
                 if let SlotOp::Op(op) = slot.op {
                     if let Some(rd) = op.def_reg() {
-                        if pending & (1u64 << rd.index()) != 0 {
+                        if pending.contains(rd) {
                             return true;
                         }
                     }
@@ -622,15 +620,14 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     /// [`operand_in_flight`]: Self::operand_in_flight
     fn waw_in_flight_decoded(&self, range: std::ops::Range<usize>) -> bool {
         let pending = self.waw_pending_mask();
-        if pending == 0 {
+        if pending.is_empty() {
             return false;
         }
         for i in range {
             let s = self.decoded.slots[i];
             if let SlotOp::Op(op) = s.op {
                 if let Some(rd) = op.def_reg() {
-                    if pending & (1u64 << rd.index()) != 0 && s.pred.eval(&self.ccr) != Cond::False
-                    {
+                    if pending.contains(rd) && s.pred.eval(&self.ccr) != Cond::False {
                         return true;
                     }
                 }
@@ -1471,10 +1468,10 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         // hit does the precise, predicate-gated per-slot check run.
         if !self.inflight.is_empty() {
             let inflight = self.inflight_dest_mask();
-            if w.src_union & inflight != 0 {
+            if !w.src_union.intersect(inflight).is_empty() {
                 for i in range.clone() {
                     let s = self.decoded.slots[i];
-                    if s.src_mask & inflight != 0
+                    if !s.src_mask.intersect(inflight).is_empty()
                         && (!COND || s.pred.eval(&self.ccr) != Cond::False)
                     {
                         let kind = self.operand_stall();
@@ -1550,10 +1547,12 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         let range = DecodedProgram::slot_range(&w);
         if !self.inflight.is_empty() {
             let inflight = self.inflight_dest_mask();
-            if w.src_union & inflight != 0 {
+            if !w.src_union.intersect(inflight).is_empty() {
                 for i in range.clone() {
                     let s = self.decoded.slots[i];
-                    if s.src_mask & inflight != 0 && s.pred.eval(&self.ccr) != Cond::False {
+                    if !s.src_mask.intersect(inflight).is_empty()
+                        && s.pred.eval(&self.ccr) != Cond::False
+                    {
                         let kind = self.operand_stall();
                         return Ok(IssueOutcome::Stalled(kind));
                     }

@@ -88,7 +88,9 @@
 //! `icache`/`dcache` values are cache specs or `off` (both off = the
 //! perfect-memory timing).  Numeric dimensions also accept ranges:
 //! `sb=1..64:pow2` walks powers of two, `latency=1..8` walks every
-//! value.  Every run uses the default indexed commit scan.  The JSON
+//! value.  Every run uses the tabled engine and the default indexed
+//! commit scan; `--memory`, `--engine` and `--tolerance` are usage errors
+//! here (the cache axes are the `icache`/`dcache` dimensions).  The JSON
 //! report (`psb-sweep-v3`) holds simulated counters only, so it is
 //! byte-identical at any `--jobs`, and CI can `cmp` runs and gate
 //! counters against `baselines/sweep_baseline.json`; the wall time goes

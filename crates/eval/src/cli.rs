@@ -13,6 +13,21 @@ use crate::{parse_engines, parse_model, BenchParams, FuzzParams};
 use psb_core::MemoryModel;
 use psb_sched::Model;
 
+/// Flags that `repro sweep` has no use for, each with what to do instead.
+/// Parsing them for a sweep would run it as if they were absent, so the
+/// parse rejects them.
+const NOT_FOR_SWEEP: [(&str, &str); 3] = [
+    (
+        "--memory",
+        "give the cache axes as --grid \"icache=...;dcache=...\"",
+    ),
+    ("--engine", "every sweep point runs the tabled engine"),
+    (
+        "--tolerance",
+        "the sweep gate compares simulated counters exactly",
+    ),
+];
+
 /// Everything one `repro` invocation asked for.
 #[derive(Clone, Debug)]
 pub struct Cli {
@@ -113,7 +128,11 @@ impl Cli {
         fn num<T: std::str::FromStr>(flag: &str, v: &str, what: &str) -> Result<T, String> {
             v.parse().map_err(|_| format!("{flag} needs {what}"))
         }
+        let mut flags = Vec::new();
         while i < args.len() {
+            if args[i].starts_with('-') {
+                flags.push(args[i].as_str());
+            }
             match args[i].as_str() {
                 "--seed" => {
                     let v = operand(&mut i, "a number")?;
@@ -262,6 +281,11 @@ impl Cli {
             }
             i += 1;
         }
+        if cli.what == "sweep" {
+            if let Some((flag, instead)) = NOT_FOR_SWEEP.iter().find(|(f, _)| flags.contains(f)) {
+                return Err(format!("sweep does not take {flag}: {instead}"));
+            }
+        }
         Ok(cli)
     }
 }
@@ -370,6 +394,12 @@ mod tests {
             parse(&["sweep", "--batch-width", "4"]).unwrap_err(),
             "unknown flag --batch-width"
         );
+        // Flags the sweep would not read are refused, wherever they sit.
+        assert_eq!(
+            parse(&["--tolerance", "0.9", "sweep"]).unwrap_err(),
+            "sweep does not take --tolerance: the sweep gate compares simulated counters exactly"
+        );
+        assert!(parse(&["bench", "--tolerance", "0.9", "--engine", "legacy"]).is_ok());
     }
 
     #[test]

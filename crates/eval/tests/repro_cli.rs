@@ -412,6 +412,21 @@ fn removed_engine_words_and_scan_dimension_are_usage_errors() {
             &["sweep", "--quick", "--grid", "batch=4"],
             "unknown grid dimension `batch`",
         ),
+        // The sweep reads none of these: running it anyway would report
+        // perfect memory, the tabled engine and an exact gate as if the
+        // flag had been honoured.
+        (
+            &["sweep", "--quick", "--memory", "cache:8x1x2x1x4:off"],
+            "sweep does not take --memory: give the cache axes as --grid \"icache=...;dcache=...\"",
+        ),
+        (
+            &["sweep", "--quick", "--engine", "legacy"],
+            "sweep does not take --engine",
+        ),
+        (
+            &["sweep", "--quick", "--tolerance", "0.9"],
+            "sweep does not take --tolerance",
+        ),
         // One fuzz run drives one engine: `all` must not silently fuzz
         // the default engine alone.
         (

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};
-use psb_core::{Engine, MachineConfig, MemoryModel, ShadowMode, VliwResult};
+use psb_core::{CommitScan, Engine, MachineConfig, MemoryModel, ShadowMode, VliwResult};
 use psb_fuzz::{gen_case, memory_rotation};
 use psb_scalar::{ScalarConfig, ScalarMachine};
 use psb_sched::{Model, SchedConfig};
@@ -37,6 +37,13 @@ fn run_engine(
         record_events: true,
         engine,
         memory,
+        // The legacy arm runs the paper's literal commit pass, so the
+        // fast path's wakeup lists are checked against a reference that
+        // keeps none.
+        commit_scan: match engine {
+            Engine::Legacy => CommitScan::Naive,
+            Engine::Tabled => CommitScan::Indexed,
+        },
         ..MachineConfig::default()
     };
     art.run(cfg).expect("engine run succeeds")

@@ -12,12 +12,11 @@ mod cfg;
 mod dom;
 mod liveness;
 mod opt;
-mod regset;
 mod unroll;
 
 pub use cfg::Cfg;
 pub use dom::{Dominators, PostDominators};
 pub use liveness::Liveness;
 pub use opt::{copy_propagate, dead_code_eliminate, optimize};
-pub use regset::RegSet;
+pub use psb_isa::RegSet;
 pub use unroll::{find_loops, unroll_loops, NaturalLoop};

@@ -1,8 +1,7 @@
 //! Backward liveness dataflow over registers.
 
 use crate::cfg::Cfg;
-use crate::regset::RegSet;
-use psb_isa::{BlockId, ScalarProgram};
+use psb_isa::{BlockId, RegSet, ScalarProgram};
 
 /// Per-block live-in/live-out register sets.
 ///

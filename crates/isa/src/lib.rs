@@ -44,6 +44,7 @@ mod mem;
 mod op;
 mod pred;
 mod reg;
+mod regset;
 mod scalar;
 mod vliw;
 
@@ -54,5 +55,6 @@ pub use mem::{MemFault, Memory};
 pub use op::{AluOp, CmpOp, MemTag, Op, Src};
 pub use pred::{PredTerm, Predicate};
 pub use reg::{CondReg, Reg, MAX_CONDS, NUM_REGS};
+pub use regset::RegSet;
 pub use scalar::{Block, BlockId, MemImage, ScalarProgram, Terminator};
 pub use vliw::{FuClass, MultiOp, Resources, Slot, SlotOp, VliwProgram};
