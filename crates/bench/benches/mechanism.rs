@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psb_compile::{
-    compile_fresh, compile_with, ArtifactCache, CompileRequest, CompiledArtifact, ProfileSource,
+    compile_fresh, compile_stored, ArtifactCache, CompileRequest, CompiledArtifact, ProfileSource,
 };
 use psb_core::{
     CommitScan, CountersSink, EventLog, MachineConfig, NullSink, PredicatedRegFile, ShadowMode,
@@ -186,7 +186,7 @@ fn bench_telemetry_pmap_overhead(c: &mut Criterion) {
 }
 
 /// Same guard for the compile cache's hit path: `compile` (the
-/// `NullTelemetry` wrapper) against `compile_with` + `Recorder` on a warm
+/// `NullTelemetry` wrapper) against `compile_stored` + `Recorder` on a warm
 /// cache, where per-call cost is just key hash + shard lock + `Arc`
 /// clone and any residual instrumentation cost would be proportionally
 /// largest.  A third case times the hit where the key costs most: the
@@ -204,14 +204,14 @@ fn bench_telemetry_cache_hit_overhead(c: &mut Criterion) {
         sched: SchedConfig::new(Model::RegionPred),
     };
     let cache = ArtifactCache::new();
-    compile_with(&req, &cache, &Recorder::new(false)).unwrap(); // warm
+    compile_stored(&req, &cache, None, &Recorder::new(false)).unwrap(); // warm
     let mut g = c.benchmark_group("telemetry_cache_hit");
     g.bench_function("null_telemetry", |b| {
         b.iter(|| black_box(psb_compile::compile(black_box(&req), &cache).unwrap()))
     });
     g.bench_function("recorder", |b| {
         let tel = Recorder::new(false);
-        b.iter(|| black_box(compile_with(black_box(&req), &cache, &tel).unwrap()))
+        b.iter(|| black_box(compile_stored(black_box(&req), &cache, None, &tel).unwrap()))
     });
     let eval = psb_workloads::by_name("espresso", 3, 2048).unwrap();
     let train = psb_workloads::by_name("espresso", 5, 2048).unwrap();

@@ -31,14 +31,22 @@
 //! how many `parallel_map` workers race on it.  [`compile_fresh`] is the
 //! uncached differential oracle — the proptest suite holds cache-served
 //! artifacts byte-equal to fresh ones.
+//!
+//! [`PointJob`] wraps the pipeline in the sequence every driver runs:
+//! the golden scalar run, compiles, machine runs, and the check of each
+//! run against the golden run.
 
 #![warn(missing_docs)]
 
 mod cache;
 mod hash;
+mod point;
 mod store;
 
 pub use cache::{ArtifactCache, CacheStats, ShardStats, SHARD_COUNT};
+pub use point::{compile_trained, PointError, PointJob};
+/// The no-op telemetry, for drivers that compile without recording.
+pub use psb_telemetry::NullTelemetry;
 pub use store::{
     decode_artifact, encode_artifact, DiskStore, StoreError, StoreStats, STORE_VERSION,
 };
@@ -52,7 +60,7 @@ use psb_core::{
 use psb_isa::{ScalarProgram, VliwProgram};
 use psb_scalar::{EdgeProfile, ScalarConfig, ScalarMachine};
 use psb_sched::{schedule, SchedConfig, SchedError, ScheduleStats};
-use psb_telemetry::{round_us, NullTelemetry, Telemetry};
+use psb_telemetry::{round_us, Telemetry};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -91,11 +99,10 @@ impl fmt::Display for Stage {
 /// Where the scheduling profile comes from.
 ///
 /// The paper's methodology trains on one input and evaluates on another;
-/// [`ProfileSource::Train`] captures that split.  Consumers that already
-/// ran the scalar machine for other reasons (the fuzz harness's golden
-/// run, the bench kernels' cross-check run) hand the byproduct profile
-/// over via [`ProfileSource::Provided`] instead of paying for a second
-/// scalar execution.
+/// [`ProfileSource::Train`] captures that split.  A self-trained
+/// [`PointJob`] (the fuzz harness, the `asm/` kernels) hands its golden
+/// run's profile over via [`ProfileSource::Provided`] instead of paying
+/// for a second scalar execution.
 #[derive(Clone, Debug, Hash)]
 pub enum ProfileSource<'a> {
     /// Run this training program under this configuration and use the
@@ -350,6 +357,11 @@ impl CompiledArtifact {
         BatchedMachine::new(&self.program, Arc::clone(&self.decoded), cfgs).run()
     }
 
+    /// The scheduling configuration the artifact was compiled for.
+    pub fn sched(&self) -> &SchedConfig {
+        &self.content_hash.sched
+    }
+
     /// Whether two artifacts carry identical semantic content (hash, key,
     /// profile, program, schedule stats and decoded arena), ignoring the
     /// host-dependent stage timings.  This is the oracle predicate:
@@ -478,30 +490,12 @@ pub fn compile(
     req: &CompileRequest<'_>,
     cache: &ArtifactCache,
 ) -> Result<Arc<CompiledArtifact>, CompileError> {
-    compile_with(req, cache, &NullTelemetry)
+    compile_stored(req, cache, None, &NullTelemetry).map(|(artifact, _)| artifact)
 }
 
-/// [`compile`] with host telemetry threaded through: stage spans and
-/// `compile.*_ns` histograms on cache misses (jobs-deterministic
-/// counts), shard lock-wait and single-flight-wait histograms on every
-/// lookup (host-only, dropped in deterministic mode).
-///
-/// # Errors
-///
-/// [`CompileError`] from whichever stage failed.  Failures are not
-/// cached; a later identical request retries the compile.
-pub fn compile_with<T: Telemetry>(
-    req: &CompileRequest<'_>,
-    cache: &ArtifactCache,
-    tel: &T,
-) -> Result<Arc<CompiledArtifact>, CompileError> {
-    let key = req.key();
-    cache.artifact(key, tel, || compile_miss(req, key, cache, tel))
-}
-
-/// The artifact-cache miss path shared by [`compile_with`] and
-/// [`compile_stored`]: resolve the (separately memoized) profile stage,
-/// then schedule and decode the artifact for `key` (`req.key()`).
+/// The artifact-cache miss path of [`compile_stored`]: resolve the
+/// (separately memoized) profile stage, then schedule and decode the
+/// artifact for `key` (`req.key()`).
 fn compile_miss<T: Telemetry>(
     req: &CompileRequest<'_>,
     key: u64,
@@ -542,11 +536,16 @@ impl ArtifactSource {
     }
 }
 
-/// [`compile_with`] extended with a persistent [`DiskStore`] between the
-/// memory cache and the compiler: a memory miss first tries to load (and
-/// fully validate) a persisted artifact; a genuine compile persists its
-/// product for future processes.  Returns where the artifact came from
-/// alongside the artifact.
+/// [`compile`] with host telemetry and an optional persistent
+/// [`DiskStore`] between the memory cache and the compiler: a memory
+/// miss first tries to load (and fully validate) a persisted artifact; a
+/// genuine compile persists its product for future processes.  Returns
+/// where the artifact came from alongside the artifact.
+///
+/// `tel` receives stage spans and `compile.*_ns` histograms on cache
+/// misses (jobs-deterministic counts), and shard lock-wait and
+/// single-flight-wait histograms on every lookup (host-only, dropped in
+/// deterministic mode).
 ///
 /// A store file that fails validation ([`StoreError`]) is *not* a
 /// request failure — the request falls through to a fresh compile whose
@@ -555,7 +554,7 @@ impl ArtifactSource {
 ///
 /// # Errors
 ///
-/// [`CompileError`] from whichever stage failed, as [`compile_with`].
+/// [`CompileError`] from whichever stage failed, as [`compile`].
 pub fn compile_stored<T: Telemetry>(
     req: &CompileRequest<'_>,
     cache: &ArtifactCache,

@@ -13,19 +13,18 @@
 //! A checked-in baseline (`baselines/bench_baseline.json`) is compared
 //! via [`check_report`]: a missing point, a schema change, or any drift
 //! in the deterministic fields is a **hard failure** (the simulator
-//! changed behaviour — rebaseline deliberately or fix the bug); wall-time
-//! drift beyond the tolerance is a **warning** emitted in GitHub
-//! annotation form (`::warning ...`), because shared CI runners make
-//! wall time advisory.
+//! changed behaviour — rebaseline deliberately or fix the bug).  Wall
+//! time is not gated: on shared hosts only paired runs can judge it.
 
 use crate::json::{Json, ToJson};
-use crate::runner::parallel_map_t;
+use crate::runner::{parallel_map_t, workload_pair, EvalParams};
 use crate::trace::RunTrace;
-use psb_compile::{compile_with, ArtifactCache, CacheStats, CompileRequest, ProfileSource};
-use psb_core::{Engine, MachineConfig, MemoryModel, ShadowMode};
+use psb_compile::{ArtifactCache, CacheStats, PointError, PointJob};
+use psb_core::{Engine, MachineConfig, MemoryModel};
+use psb_isa::ScalarProgram;
 use psb_scalar::ScalarConfig;
 use psb_sched::{Model, SchedConfig};
-use psb_telemetry::{round_us, NullTelemetry, Telemetry};
+use psb_telemetry::{round_us, Telemetry};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -340,8 +339,20 @@ pub fn parse_engines(s: &str) -> Option<Vec<Engine>> {
     }
 }
 
-pub(crate) fn asm_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../asm")
+/// Loads the `asm/` kernel `name` and the golden-run configuration
+/// carrying its fault set (`name.cfg`).
+///
+/// # Panics
+///
+/// Panics when the kernel does not load — the suite is checked in.
+pub(crate) fn load_kernel(name: &str) -> (ScalarProgram, ScalarConfig) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../asm/{name}.asm"));
+    let case = psb_fuzz::load_repro(&path).unwrap_or_else(|e| panic!("kernel {name}: {e}"));
+    let golden = ScalarConfig {
+        fault_once_addrs: case.fault_once,
+        ..ScalarConfig::default()
+    };
+    (case.program, golden)
 }
 
 /// `VmHWM` from `/proc/self/status` in kB; 0 where unavailable.
@@ -374,80 +385,43 @@ fn run_point<T: Telemetry>(
     tel: &T,
     collect_guest: bool,
 ) -> (BenchPoint, Option<RunTrace>) {
-    let (program, fault_once) = match spec.kind {
+    let fail = |e: PointError| -> ! { panic!("{}/{}: {e}", spec.name, spec.model) };
+    // Kernel points self-train on their golden run's edge profile, so
+    // they report `profile_seconds` 0, the profile being free.
+    // Workloads train inside the pipeline on a distinct seed, like the
+    // experiment harness.
+    let (program, train, golden) = match spec.kind {
         "kernel" => {
-            let path = asm_dir().join(format!("{}.asm", spec.name));
-            let case = psb_fuzz::load_repro(&path)
-                .unwrap_or_else(|e| panic!("bench kernel {}: {e}", spec.name));
-            (case.program, case.fault_once)
+            let (program, golden) = load_kernel(&spec.name);
+            (program, None, golden)
         }
         _ => {
-            let w = psb_workloads::by_name(&spec.name, 1234, spec.size)
-                .unwrap_or_else(|| panic!("unknown workload {}", spec.name));
-            (w.program, Default::default())
+            let params = EvalParams {
+                size: spec.size,
+                ..EvalParams::default()
+            };
+            let (train, eval) = workload_pair(&spec.name, &params);
+            (eval.program, Some(train.program), ScalarConfig::default())
         }
     };
-
-    // Golden scalar run: supplies the observable end state the timed runs
-    // are cross-checked against, and (for kernels) doubles as the edge
-    // profile — so kernel points report `profile_seconds` 0, the profile
-    // being free.  Workloads train inside the pipeline on a distinct
-    // seed, like the experiment harness.
-    let scfg = ScalarConfig {
-        fault_once_addrs: fault_once.clone(),
-        ..ScalarConfig::default()
-    };
-    let scalar = psb_scalar::ScalarMachine::new(&program, scfg)
-        .run()
-        .unwrap_or_else(|e| panic!("{}: scalar run failed: {e}", spec.name));
-
-    // Compile phase (profile → schedule → decode) through the shared
-    // pipeline; per-stage timings come from the artifact's CompileStats.
-    let train = (spec.kind != "kernel").then(|| {
-        psb_workloads::by_name(&spec.name, 11, spec.size)
-            .unwrap_or_else(|| panic!("unknown workload {}", spec.name))
-    });
-    let sched_cfg = SchedConfig::new(spec.model);
-    let single_shadow = sched_cfg.single_shadow;
-    let req = CompileRequest {
-        program: &program,
-        profile: match &train {
-            Some(t) => ProfileSource::Train {
-                program: &t.program,
-                config: ScalarConfig::default(),
-            },
-            None => ProfileSource::Provided(&scalar.edge_profile),
-        },
-        sched: sched_cfg,
-    };
-    let art = compile_with(&req, cache, tel)
-        .unwrap_or_else(|e| panic!("{}/{}: compile failed: {e}", spec.name, spec.model));
+    let job = PointJob::new(&program, train.as_ref(), golden).unwrap_or_else(|e| fail(e));
+    let (art, _) = job
+        .compile(SchedConfig::new(spec.model), cache, None, tel)
+        .unwrap_or_else(|e| fail(e));
 
     // Execute phase: the timed loop.  Every iteration simulates the same
-    // deterministic run; the first is cross-checked against the golden
-    // model so a throughput number can never come from incorrect code.
-    let mcfg = MachineConfig {
-        shadow_mode: if single_shadow {
-            ShadowMode::Single
-        } else {
-            ShadowMode::Infinite
+    // deterministic run; the first is checked against the golden model
+    // so a throughput number can never come from incorrect code.
+    let mcfg = job.machine_config(
+        &art,
+        MachineConfig {
+            engine: spec.engine,
+            memory: spec.memory,
+            ..MachineConfig::default()
         },
-        fault_once_addrs: fault_once,
-        engine: spec.engine,
-        memory: spec.memory,
-        ..MachineConfig::default()
-    };
-    let exec_start = Instant::now();
-    let first = art
-        .run(mcfg.clone())
-        .unwrap_or_else(|e| panic!("{}/{}: machine error: {e}", spec.name, spec.model));
-    assert_eq!(
-        first.observable(&program.live_out),
-        scalar.observable(&program.live_out),
-        "{}/{}: diverged from the scalar golden model",
-        spec.name,
-        spec.model
     );
+    let exec_start = Instant::now();
+    let first = job.run(&art, mcfg.clone()).unwrap_or_else(|e| fail(e));
     let cycles = first.cycles;
     let (commits, squashes, recoveries) = (first.commits, first.squashes, first.recoveries);
     let (stall_ifetch, stall_load_miss) = (first.stall_ifetch, first.stall_load_miss);
@@ -456,7 +430,7 @@ fn run_point<T: Telemetry>(
     let iterations = spec.target_cycles.div_ceil(cycles.max(1)).max(1);
     for _ in 1..iterations {
         art.run(mcfg.clone())
-            .unwrap_or_else(|e| panic!("{}/{}: machine error: {e}", spec.name, spec.model));
+            .unwrap_or_else(|e| fail(PointError::Machine(e)));
     }
     let wall_seconds = exec_start.elapsed().as_secs_f64();
     tel.observe("bench.execute_ns", (wall_seconds * 1e9) as u64);
@@ -465,11 +439,8 @@ fn run_point<T: Telemetry>(
     // host+guest `--telemetry` timeline.  Only requested for one engine
     // per matrix point — the event stream is engine-independent.
     let guest = collect_guest.then(|| {
-        let mut gcfg = mcfg.clone();
-        gcfg.record_events = true;
-        let res = art
-            .run(gcfg)
-            .unwrap_or_else(|e| panic!("{}/{}: machine error: {e}", spec.name, spec.model));
+        let gcfg = mcfg.with_events();
+        let res = job.run(&art, gcfg).unwrap_or_else(|e| fail(e));
         RunTrace {
             workload: spec.name.clone(),
             model: spec.model.name().to_string(),
@@ -506,30 +477,22 @@ fn run_point<T: Telemetry>(
 }
 
 /// Runs the fixed bench matrix and assembles the report, compiling each
-/// point through a private artifact cache.
+/// point through `cache`.  Because the compile key excludes the engine
+/// and the execution config, an engine sweep compiles each (program ×
+/// model) point exactly once, and a repeated run on one cache (the
+/// `--cache-check` smoke test) measures cache effectiveness.
+///
+/// Per-point task spans and compile-stage telemetry flow into `tel`, and
+/// `collect_guests` additionally records one event-traced guest run per
+/// matrix point of the first selected engine (for the merged
+/// `--telemetry` timeline).  Guest traces come back in fixed matrix
+/// order.
 ///
 /// # Panics
 ///
 /// Panics on any kernel load, compile, or machine failure, and on golden
 /// model divergence — a bench result must never describe broken code.
-pub fn run_bench(params: &BenchParams) -> BenchReport {
-    run_bench_with_cache(params, &ArtifactCache::new())
-}
-
-/// [`run_bench`] against a caller-supplied artifact cache, so repeated
-/// runs (the `--cache-check` smoke test) can measure cache effectiveness.
-/// Because the compile key excludes the engine and the execution config,
-/// an engine sweep compiles each (program × model) point exactly once.
-pub fn run_bench_with_cache(params: &BenchParams, cache: &ArtifactCache) -> BenchReport {
-    run_bench_with_cache_t(params, cache, &NullTelemetry, false).0
-}
-
-/// [`run_bench_with_cache`] with instrumentation: per-point task spans
-/// and compile-stage telemetry flow into `tel`, and `collect_guests`
-/// additionally records one event-traced guest run per matrix point of
-/// the first selected engine (for the merged `--telemetry` timeline).
-/// Guest traces come back in fixed matrix order.
-pub fn run_bench_with_cache_t<T: Telemetry>(
+pub fn run_bench<T: Telemetry>(
     params: &BenchParams,
     cache: &ArtifactCache,
     tel: &T,
@@ -644,18 +607,13 @@ pub struct CacheCheck {
 /// nothing (no new artifact or profile misses, exactly one hit per
 /// point) and reports byte-identically.  Only meaningful with
 /// `--deterministic` params — otherwise wall timings legitimately differ
-/// between passes and the byte comparison fails.
-pub fn cache_effectiveness_check(params: &BenchParams) -> CacheCheck {
-    cache_effectiveness_check_t(params, &NullTelemetry)
-}
-
-/// [`cache_effectiveness_check`] with both passes instrumented (task
-/// spans and compile/cache telemetry for each pass flow into `tel`).
-pub fn cache_effectiveness_check_t<T: Telemetry>(params: &BenchParams, tel: &T) -> CacheCheck {
+/// between passes and the byte comparison fails.  Both passes' task
+/// spans and compile/cache telemetry flow into `tel`.
+pub fn cache_effectiveness_check<T: Telemetry>(params: &BenchParams, tel: &T) -> CacheCheck {
     let cache = ArtifactCache::new();
-    let first = run_bench_with_cache_t(params, &cache, tel, false).0;
+    let first = run_bench(params, &cache, tel, false).0;
     let first_pass = cache.stats();
-    let second = run_bench_with_cache_t(params, &cache, tel, false).0;
+    let second = run_bench(params, &cache, tel, false).0;
     let second_pass = cache.stats();
 
     let mut problems = Vec::new();
@@ -689,15 +647,13 @@ pub fn cache_effectiveness_check_t<T: Telemetry>(params: &BenchParams, tel: &T) 
     }
 }
 
-/// Outcome of a baseline comparison: hard failures gate CI, warnings are
-/// emitted as GitHub annotations, notes are informational.
+/// Outcome of a baseline comparison: hard failures gate CI, notes are
+/// informational.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct BenchCheck {
     /// Schema or determinism breakage — exit non-zero.
     pub failures: Vec<String>,
-    /// Wall-time regressions beyond tolerance — annotate, don't fail.
-    pub warnings: Vec<String>,
-    /// Improvements and new points.
+    /// Points the baseline lacks.
     pub notes: Vec<String>,
 }
 
@@ -711,8 +667,7 @@ impl BenchCheck {
     /// both the verdict line and every failure line — a drift report
     /// must say which file it compared against, because CI jobs check
     /// different baselines and "determinism breakage" is actionable
-    /// only with the file to rebaseline.  Warnings are *not* rendered
-    /// here: they go to stdout as GitHub `::warning` annotations.
+    /// only with the file to rebaseline.
     pub fn render(&self, baseline_path: &str) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -723,12 +678,7 @@ impl BenchCheck {
             writeln!(s, "FAIL [{baseline_path}]: {failure}").unwrap();
         }
         if self.passed() {
-            writeln!(
-                s,
-                "check vs {baseline_path}: ok ({} warning(s))",
-                self.warnings.len()
-            )
-            .unwrap();
+            writeln!(s, "check vs {baseline_path}: ok").unwrap();
         } else {
             writeln!(
                 s,
@@ -741,6 +691,24 @@ impl BenchCheck {
     }
 }
 
+/// The header half of a baseline gate, shared by [`check_report`] and
+/// [`check_sweep`](crate::check_sweep): each `(field, value)` the
+/// current report carries must equal the baseline's `field`, or the gate
+/// hard-fails.
+pub(crate) fn check_header(check: &mut BenchCheck, baseline: &Json, fields: &[(&str, Json)]) {
+    for (field, current) in fields {
+        match baseline.get(field) {
+            Some(base) if base == current => {}
+            Some(base) => check.failures.push(format!(
+                "{field} mismatch: baseline {}, current {}",
+                base.pretty(),
+                current.pretty()
+            )),
+            None => check.failures.push(format!("baseline has no {field}")),
+        }
+    }
+}
+
 /// The keyed-points half of a baseline gate, shared by [`check_report`]
 /// and [`check_sweep`](crate::check_sweep).
 ///
@@ -749,15 +717,14 @@ impl BenchCheck {
 /// baseline, a baseline point without its key fields, a missing point, a
 /// counter the baseline point lacks and a differing counter are hard
 /// failures, labelled by the point's joined key values; current points
-/// the baseline lacks are a note.  Returns the matched (label, baseline
-/// point, current point) triples for the caller's own comparisons.
-pub(crate) fn check_points<'a>(
+/// the baseline lacks are a note.
+pub(crate) fn check_points(
     check: &mut BenchCheck,
-    baseline: &'a Json,
-    current: &'a [Json],
+    baseline: &Json,
+    current: &[Json],
     keys: &[&str],
     counters: &[&str],
-) -> Vec<(String, &'a Json, &'a Json)> {
+) {
     let base_points = baseline
         .get("points")
         .and_then(Json::as_array)
@@ -765,7 +732,7 @@ pub(crate) fn check_points<'a>(
     if base_points.is_empty() {
         check.failures.push("baseline has no points".to_string());
     }
-    let mut matched = Vec::new();
+    let mut matched = 0;
     for bp in base_points {
         let Some(key) = keys.iter().map(|k| bp.get(k)).collect::<Option<Vec<_>>>() else {
             check
@@ -805,58 +772,34 @@ pub(crate) fn check_points<'a>(
                     .push(format!("{label}: baseline point lacks {field}")),
             }
         }
-        matched.push((label, bp, cur));
+        matched += 1;
     }
-    if matched.len() < current.len() {
+    if matched < current.len() {
         check.notes.push(format!(
             "{} point(s) in the current run are not in the baseline",
-            current.len() - matched.len()
+            current.len() - matched
         ));
     }
-    matched
 }
 
 /// Compares `current` against the checked-in `baseline` document.
 ///
-/// Deterministic fields (`iterations`, `cycles`, `commits`, `squashes`,
-/// `recoveries`) must match exactly for every baseline point, and the
-/// schema version and suite must agree — anything else is a hard failure.
-/// Execute-phase wall time may drift by `tolerance` (relative, e.g. 0.2
-/// for ±20%) before a warning fires; wall comparison is skipped when
-/// either side was recorded `--deterministic` (zeroed).
-pub fn check_report(current: &BenchReport, baseline: &Json, tolerance: f64) -> BenchCheck {
+/// The schema version, suite and memory model must agree, and every
+/// baseline point's deterministic counters must match exactly — anything
+/// else is a hard failure.  Host timings are not compared.
+pub fn check_report(current: &BenchReport, baseline: &Json) -> BenchCheck {
     let mut check = BenchCheck::default();
-
-    match baseline.get("schema_version").and_then(Json::as_i64) {
-        Some(v) if v == BENCH_SCHEMA_VERSION as i64 => {}
-        Some(v) => check.failures.push(format!(
-            "schema_version mismatch: baseline {v}, current {BENCH_SCHEMA_VERSION}"
-        )),
-        None => check
-            .failures
-            .push("baseline has no schema_version".to_string()),
-    }
-    match baseline.get("suite").and_then(Json::as_str) {
-        Some(s) if s == current.suite => {}
-        Some(s) => check.failures.push(format!(
-            "suite mismatch: baseline ran {s:?}, current ran {:?}",
-            current.suite
-        )),
-        None => check.failures.push("baseline has no suite".to_string()),
-    }
-    match baseline.get("memory").and_then(Json::as_str) {
-        Some(m) if m == current.memory => {}
-        Some(m) => check.failures.push(format!(
-            "memory-model mismatch: baseline ran {m:?}, current ran {:?}",
-            current.memory
-        )),
-        None => check
-            .failures
-            .push("baseline has no memory model".to_string()),
-    }
-
+    check_header(
+        &mut check,
+        baseline,
+        &[
+            ("schema_version", BENCH_SCHEMA_VERSION.to_json()),
+            ("suite", current.suite.to_json()),
+            ("memory", current.memory.to_json()),
+        ],
+    );
     let points: Vec<Json> = current.points.iter().map(ToJson::to_json).collect();
-    let matched = check_points(
+    check_points(
         &mut check,
         baseline,
         &points,
@@ -875,42 +818,6 @@ pub fn check_report(current: &BenchReport, baseline: &Json, tolerance: f64) -> B
             "dcache_misses",
         ],
     );
-    let wall = |p: &Json| {
-        p.get("host")
-            .and_then(|h| h.get("wall_seconds"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
-    };
-    let mut wall_skipped = 0usize;
-    for (label, bp, cur) in matched {
-        let (base_wall, cur_wall) = (wall(bp), wall(cur));
-        if base_wall > 0.0 && cur_wall > 0.0 {
-            let ratio = cur_wall / base_wall;
-            if ratio > 1.0 + tolerance {
-                check.warnings.push(format!(
-                    "{label}: wall time regressed {:.0}% ({base_wall:.4}s -> {cur_wall:.4}s)",
-                    (ratio - 1.0) * 100.0
-                ));
-            } else if ratio < 1.0 - tolerance {
-                check.notes.push(format!(
-                    "{label}: wall time improved {:.0}% ({base_wall:.4}s -> {cur_wall:.4}s); \
-                     consider re-baselining",
-                    (1.0 - ratio) * 100.0
-                ));
-            }
-        } else {
-            // A `--deterministic` baseline (or current run) zeroes its
-            // host timings; comparing against it would flag 100% drift
-            // on every point.  Skip — but say so, once, below.
-            wall_skipped += 1;
-        }
-    }
-    if wall_skipped > 0 {
-        check.notes.push(format!(
-            "wall-time comparison skipped for {wall_skipped} point(s): baseline or current \
-             run has zeroed host timings (--deterministic); counters were still checked"
-        ));
-    }
     check
 }
 
@@ -992,6 +899,7 @@ pub fn render_bench(report: &BenchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psb_telemetry::NullTelemetry;
 
     fn tiny_report() -> BenchReport {
         BenchReport {
@@ -1031,9 +939,8 @@ mod tests {
     fn self_check_passes() {
         let r = tiny_report();
         let baseline = Json::parse(&r.to_json().pretty()).unwrap();
-        let check = check_report(&r, &baseline, 0.2);
+        let check = check_report(&r, &baseline);
         assert!(check.passed(), "{:?}", check.failures);
-        assert!(check.warnings.is_empty());
     }
 
     #[test]
@@ -1042,56 +949,20 @@ mod tests {
         let baseline = Json::parse(&r.to_json().pretty()).unwrap();
         let mut drifted = r.clone();
         drifted.points[0].cycles = 101;
-        let check = check_report(&drifted, &baseline, 0.2);
+        let check = check_report(&drifted, &baseline);
         assert!(!check.passed());
         assert!(check.failures[0].contains("determinism breakage"));
     }
 
     #[test]
-    fn missing_point_hard_fails_and_wall_drift_warns() {
-        let mut r = tiny_report();
-        r.points[0].host.wall_seconds = 1.0;
+    fn missing_point_hard_fails() {
+        let r = tiny_report();
         let baseline = Json::parse(&r.to_json().pretty()).unwrap();
-
         let missing = BenchReport {
             points: vec![],
             ..r.clone()
         };
-        assert!(!check_report(&missing, &baseline, 0.2).passed());
-
-        let mut slow = r.clone();
-        slow.points[0].host.wall_seconds = 1.5;
-        let check = check_report(&slow, &baseline, 0.2);
-        assert!(check.passed());
-        assert_eq!(check.warnings.len(), 1, "{:?}", check.warnings);
-
-        let mut fast = r.clone();
-        fast.points[0].host.wall_seconds = 0.5;
-        let check = check_report(&fast, &baseline, 0.2);
-        assert!(check.passed() && check.warnings.is_empty());
-        assert!(check.notes.iter().any(|n| n.contains("improved")));
-    }
-
-    #[test]
-    fn zeroed_baseline_skips_wall_drift_with_a_note() {
-        // A --deterministic baseline carries zeroed host timings.  A
-        // later timed run must not be flagged for "drifting" from 0.0s —
-        // the wall comparison is skipped, with an explicit note.
-        let r = tiny_report();
-        let baseline = Json::parse(&r.to_json().pretty()).unwrap();
-        let mut timed = r.clone();
-        timed.points[0].host.wall_seconds = 3.7;
-        let check = check_report(&timed, &baseline, 0.2);
-        assert!(check.passed(), "{:?}", check.failures);
-        assert!(check.warnings.is_empty(), "{:?}", check.warnings);
-        assert!(
-            check
-                .notes
-                .iter()
-                .any(|n| n.contains("wall-time comparison skipped for 1 point(s)")),
-            "{:?}",
-            check.notes
-        );
+        assert!(!check_report(&missing, &baseline).passed());
     }
 
     #[test]
@@ -1102,7 +973,7 @@ mod tests {
         let baseline = Json::parse(&r.to_json().pretty()).unwrap();
         let mut drifted = r.clone();
         drifted.points[0].cycles = 101;
-        let check = check_report(&drifted, &baseline, 0.2);
+        let check = check_report(&drifted, &baseline);
         let rendered = check.render("baselines/bench_baseline.json");
         assert!(
             rendered.contains("FAIL [baselines/bench_baseline.json]: "),
@@ -1113,36 +984,37 @@ mod tests {
             "{rendered}"
         );
         // The success rendering keeps naming the file too.
-        let ok = check_report(&r, &baseline, 0.2).render("b.json");
-        assert!(ok.contains("check vs b.json: ok (0 warning(s))"), "{ok}");
+        let ok = check_report(&r, &baseline).render("b.json");
+        assert!(ok.contains("check vs b.json: ok\n"), "{ok}");
         assert!(!ok.contains("FAIL"), "{ok}");
     }
 
     #[test]
-    fn schema_version_mismatch_hard_fails() {
+    fn header_mismatches_hard_fail() {
+        // A cache-model run gated against a perfect-memory baseline (or
+        // vice versa) must fail loudly, not diff counters that can never
+        // match; so must another schema or suite.
         let r = tiny_report();
         let mut doc = r.to_json();
         if let Json::Object(fields) = &mut doc {
             fields[0].1 = Json::Int(999);
         }
-        assert!(!check_report(&r, &doc, 0.2).passed());
-    }
-
-    #[test]
-    fn memory_model_mismatch_hard_fails() {
-        // A cache-model run gated against a perfect-memory baseline (or
-        // vice versa) must fail loudly, not diff counters that can never
-        // match.
-        let r = tiny_report();
+        let failures = check_report(&r, &doc).failures;
+        assert_eq!(
+            failures,
+            ["schema_version mismatch: baseline 999, current 3"]
+        );
         let baseline = Json::parse(&r.to_json().pretty()).unwrap();
-        let mut cached = r.clone();
-        cached.memory = "cache:off:64x2x4x1x10".to_string();
-        let check = check_report(&cached, &baseline, 0.2);
-        assert!(!check.passed());
-        assert!(
-            check.failures.iter().any(|f| f.contains("memory-model")),
-            "{:?}",
-            check.failures
+        let mut other = r.clone();
+        other.memory = "cache:off:64x2x4x1x10".to_string();
+        other.suite = "full".to_string();
+        let failures = check_report(&other, &baseline).failures;
+        assert_eq!(
+            failures,
+            [
+                r#"suite mismatch: baseline "quick", current "full""#,
+                r#"memory mismatch: baseline "perfect", current "cache:off:64x2x4x1x10""#,
+            ]
         );
     }
 
@@ -1199,7 +1071,7 @@ mod tests {
             target_cycles: Some(1),
             ..BenchParams::default()
         };
-        let cc = cache_effectiveness_check(&params);
+        let cc = cache_effectiveness_check(&params, &NullTelemetry);
         assert!(cc.problems.is_empty(), "{:?}", cc.problems);
         assert_eq!(cc.second_pass.misses, cc.first_pass.misses);
         assert!(cc.first_pass.misses > 0);

@@ -9,24 +9,96 @@
 //! into `exit(2)`.
 
 use crate::runner::{parse_jobs, EvalParams};
-use crate::{parse_engines, parse_model, BenchParams, FuzzParams};
+use crate::{parse_engines, BenchParams, FuzzParams};
 use psb_core::MemoryModel;
 use psb_sched::Model;
 
-/// Flags that `repro sweep` has no use for, each with what to do instead.
-/// Parsing them for a sweep would run it as if they were absent, so the
-/// parse rejects them.
-const NOT_FOR_SWEEP: [(&str, &str); 3] = [
+/// The experiments `repro all` runs, in its order.
+pub const EXPERIMENTS: [&str; 13] = [
+    "table2",
+    "table3",
+    "fig6",
+    "fig7",
+    "fig8",
+    "summary",
+    "interaction",
+    "mix",
+    "codesize",
+    "sensitivity",
+    "ablation-shadow",
+    "ablation-counter",
+    "ablation-unroll",
+];
+
+/// The flags each subcommand reads, by the `repro` binary's dispatch:
+/// (subcommands, flags), both space-separated.  A flag a subcommand
+/// never reads would run it as if the flag were absent, so
+/// [`Cli::parse`] rejects every flag outside its subcommand's row.
+/// `all` takes the union of its experiments' flags.
+const FLAGS: [(&str, &str); 12] = [
+    ("table2 mix", "--quick --size --eval-seed --jobs --json"),
     (
-        "--memory",
-        "give the cache axes as --grid \"icache=...;dcache=...\"",
+        "table3 codesize",
+        "--quick --size --train-seed --eval-seed --jobs --json",
     ),
-    ("--engine", "every sweep point runs the tabled engine"),
     (
-        "--tolerance",
-        "the sweep gate compares simulated counters exactly",
+        "fig6 fig7 fig8 summary interaction sensitivity ablation-shadow ablation-counter \
+         ablation-unroll all",
+        "--quick --size --train-seed --eval-seed --jobs --memory --json",
+    ),
+    (
+        "metrics",
+        "--quick --size --train-seed --eval-seed --jobs --memory --json --deterministic",
+    ),
+    (
+        "trace",
+        "--quick --size --train-seed --eval-seed --jobs --memory --workload --model --out",
+    ),
+    (
+        "profile",
+        "--quick --size --train-seed --eval-seed --jobs --memory --workload --model --out --json",
+    ),
+    (
+        "compile",
+        "--quick --size --train-seed --eval-seed --jobs --workload --model --json --out \
+         --deterministic --store --store-max-bytes --telemetry",
+    ),
+    (
+        "bench",
+        "--quick --jobs --memory --out --deterministic --engine --target-cycles --check \
+         --cache-check --telemetry",
+    ),
+    ("sweep", "--quick --jobs --grid --check --out"),
+    (
+        "fuzz",
+        "--jobs --seed --runs --time-budget --corpus --inject-recovery-bug --engine \
+         --deterministic --telemetry",
+    ),
+    (
+        "serve",
+        "--jobs --addr --queue-depth --cycle-budget --store --store-max-bytes \
+         --read-timeout-ms --deterministic",
+    ),
+    (
+        "loadgen",
+        "--jobs --addr --requests --seed --deterministic --out",
     ),
 ];
+
+/// Checks that `what` is a subcommand and reads every one of `flags`.
+fn check_flags(what: &str, flags: &[&str]) -> Result<(), String> {
+    let (_, takes) = FLAGS
+        .iter()
+        .find(|(subs, _)| subs.split_whitespace().any(|s| s == what))
+        .ok_or_else(|| format!("unknown experiment {what}"))?;
+    match flags
+        .iter()
+        .find(|f| !takes.split_whitespace().any(|t| t == **f))
+    {
+        Some(flag) => Err(format!("{what} does not take {flag} (it takes {takes})")),
+        None => Ok(()),
+    }
+}
 
 /// Everything one `repro` invocation asked for.
 #[derive(Clone, Debug)]
@@ -47,8 +119,6 @@ pub struct Cli {
     pub check: Option<String>,
     /// `--cache-check`.
     pub cache_check: bool,
-    /// `--tolerance FRAC` (default 0.2).
-    pub tolerance: f64,
     /// `--workload W[,W...]` accumulations.
     pub workloads: Vec<String>,
     /// `--model M|all` accumulations.
@@ -91,7 +161,6 @@ impl Default for Cli {
             deterministic: false,
             check: None,
             cache_check: false,
-            tolerance: 0.2,
             workloads: Vec::new(),
             models: Vec::new(),
             out: None,
@@ -174,14 +243,6 @@ impl Cli {
                     cli.bench_params.target_cycles = Some(t);
                 }
                 "--check" => cli.check = Some(operand(&mut i, "a baseline file")?),
-                "--tolerance" => {
-                    let v = operand(&mut i, "a fraction >= 0")?;
-                    let t: f64 = num("--tolerance", &v, "a fraction >= 0")?;
-                    if t < 0.0 {
-                        return Err("--tolerance needs a fraction >= 0".to_string());
-                    }
-                    cli.tolerance = t;
-                }
                 "--workload" => {
                     let list = operand(&mut i, "a benchmark name (comma-separated ok)")?;
                     for w in list.split(',').filter(|w| !w.is_empty()) {
@@ -196,8 +257,9 @@ impl Cli {
                     if m == "all" {
                         cli.models = Model::ALL.to_vec();
                     } else {
-                        cli.models
-                            .push(parse_model(&m).ok_or_else(|| format!("unknown model {m}"))?);
+                        cli.models.push(
+                            Model::from_name(&m).ok_or_else(|| format!("unknown model {m}"))?,
+                        );
                     }
                 }
                 "--cache-check" => cli.cache_check = true,
@@ -281,11 +343,7 @@ impl Cli {
             }
             i += 1;
         }
-        if cli.what == "sweep" {
-            if let Some((flag, instead)) = NOT_FOR_SWEEP.iter().find(|(f, _)| flags.contains(f)) {
-                return Err(format!("sweep does not take {flag}: {instead}"));
-            }
-        }
+        check_flags(&cli.what, &flags)?;
         Ok(cli)
     }
 }
@@ -378,7 +436,6 @@ mod tests {
             "sb=2,4;latency=1..3",
             "--jobs",
             "4",
-            "--deterministic",
             "--check",
             "baselines/sweep_baseline.json",
         ])
@@ -386,7 +443,6 @@ mod tests {
         assert_eq!(cli.what, "sweep");
         assert_eq!(cli.grid.as_deref(), Some("sb=2,4;latency=1..3"));
         assert_eq!(cli.params.jobs, 4);
-        assert!(cli.deterministic);
         assert_eq!(cli.check.as_deref(), Some("baselines/sweep_baseline.json"));
         assert!(parse(&["sweep", "--grid"]).is_err());
         // Every grid point runs once, solo: there is no batch to size.
@@ -394,12 +450,51 @@ mod tests {
             parse(&["sweep", "--batch-width", "4"]).unwrap_err(),
             "unknown flag --batch-width"
         );
-        // Flags the sweep would not read are refused, wherever they sit.
+        // The gates compare counters only.
         assert_eq!(
-            parse(&["--tolerance", "0.9", "sweep"]).unwrap_err(),
-            "sweep does not take --tolerance: the sweep gate compares simulated counters exactly"
+            parse(&["bench", "--tolerance", "0.9"]).unwrap_err(),
+            "unknown flag --tolerance"
         );
-        assert!(parse(&["bench", "--tolerance", "0.9", "--engine", "legacy"]).is_ok());
+    }
+
+    #[test]
+    fn each_subcommand_takes_exactly_its_row_of_flags() {
+        let words = |s: &'static str| s.split_whitespace().collect::<Vec<_>>();
+        let mut every: Vec<&str> = FLAGS.iter().flat_map(|(_, f)| words(f)).collect();
+        every.sort_unstable();
+        every.dedup();
+        for (subs, takes) in FLAGS {
+            for sub in words(subs) {
+                for flag in &every {
+                    let want = match words(takes).contains(flag) {
+                        true => Ok(()),
+                        false => Err(format!("{sub} does not take {flag} (it takes {takes})")),
+                    };
+                    assert_eq!(check_flags(sub, &[flag]), want);
+                }
+            }
+        }
+        // `all` takes the union of its experiments' flags.
+        let mut union: Vec<&str> = EXPERIMENTS
+            .iter()
+            .map(|e| {
+                FLAGS
+                    .iter()
+                    .find(|(subs, _)| words(subs).contains(e))
+                    .unwrap()
+            })
+            .flat_map(|(_, f)| words(f))
+            .collect();
+        union.sort_unstable();
+        union.dedup();
+        let (_, all) = FLAGS
+            .iter()
+            .find(|(subs, _)| words(subs).contains(&"all"))
+            .unwrap();
+        let mut all = words(all);
+        all.sort_unstable();
+        assert_eq!(all, union);
+        assert_eq!(parse(&["nope"]).unwrap_err(), "unknown experiment nope");
     }
 
     #[test]

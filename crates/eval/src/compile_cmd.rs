@@ -9,15 +9,11 @@
 //! `--jobs` value (the cache is single-flight).
 
 use crate::json::{Json, ToJson};
-use crate::runner::{parallel_map_t, EvalParams, BENCHMARKS};
+use crate::runner::{parallel_map_t, workload_pair, EvalParams, BENCHMARKS};
 use crate::telemetry_export::cache_stats_json;
-use psb_compile::{
-    compile_stored, ArtifactCache, CacheStats, CompileRequest, DiskStore, ProfileSource, Stage,
-    StoreStats,
-};
-use psb_scalar::ScalarConfig;
+use psb_compile::{compile_trained, ArtifactCache, CacheStats, DiskStore, Stage, StoreStats};
 use psb_sched::Model;
-use psb_telemetry::{NullTelemetry, Telemetry};
+use psb_telemetry::Telemetry;
 
 /// Host-dependent per-stage timings of one compile (zeroed by
 /// `--deterministic`).  Cache-served points report the original
@@ -127,33 +123,18 @@ impl ToJson for CompileSweep {
 /// Empty `workloads` means all six benchmarks; empty `models` means all
 /// seven models.
 ///
+/// With a persistent on-disk `store` (`repro compile --store DIR`) each
+/// point tries memory, then disk, then compiles (persisting the result),
+/// and its row records which layer answered: a second process over the
+/// same directory fills from disk instead of recompiling.  Per-point
+/// task spans, the compile stage spans/histograms, and the cache
+/// contention histograms all flow into `tel`.
+///
 /// # Panics
 ///
 /// Panics on an unknown workload name or a pipeline failure — the sweep
 /// only covers the checked-in benchmark set, which must compile.
-pub fn compile_sweep(workloads: &[String], models: &[Model], params: &EvalParams) -> CompileSweep {
-    compile_sweep_t(workloads, models, params, &NullTelemetry)
-}
-
-/// [`compile_sweep`] with instrumentation: per-point task spans, the
-/// compile stage spans/histograms, and the cache contention histograms
-/// all flow into `tel`.
-pub fn compile_sweep_t<T: Telemetry>(
-    workloads: &[String],
-    models: &[Model],
-    params: &EvalParams,
-    tel: &T,
-) -> CompileSweep {
-    compile_sweep_stored(workloads, models, params, None, tel)
-}
-
-/// [`compile_sweep_t`] backed by a persistent on-disk artifact store:
-/// each point tries memory, then disk, then compiles (persisting the
-/// result), and its row records which layer answered.  This is the
-/// `repro compile --store DIR` path the cross-process persistence test
-/// drives — a second process over the same directory must fill from
-/// disk instead of recompiling.
-pub fn compile_sweep_stored<T: Telemetry>(
+pub fn compile_sweep<T: Telemetry>(
     workloads: &[String],
     models: &[Model],
     params: &EvalParams,
@@ -181,20 +162,16 @@ pub fn compile_sweep_stored<T: Telemetry>(
         tel,
         |_, (name, model)| format!("{name}/{}", model.name()),
         |(name, model)| {
-            let train = psb_workloads::by_name(name, params.train_seed, params.size)
-                .unwrap_or_else(|| panic!("unknown workload {name}"));
-            let eval = psb_workloads::by_name(name, params.eval_seed, params.size)
-                .unwrap_or_else(|| panic!("unknown workload {name}"));
-            let req = CompileRequest {
-                program: &eval.program,
-                profile: ProfileSource::Train {
-                    program: &train.program,
-                    config: ScalarConfig::default(),
-                },
-                sched: params.sched_config(*model),
-            };
-            let (art, source) = compile_stored(&req, &cache, store, tel)
-                .unwrap_or_else(|e| panic!("{name}/{model}: compile failed: {e}"));
+            let (train, eval) = workload_pair(name, params);
+            let (art, source) = compile_trained(
+                &eval.program,
+                &train.program,
+                params.sched_config(*model),
+                &cache,
+                store,
+                tel,
+            )
+            .unwrap_or_else(|e| panic!("{name}/{model}: {e}"));
             CompileRow {
                 workload: name.clone(),
                 model: model.name().to_string(),
@@ -279,6 +256,7 @@ pub fn render_compile(sweep: &CompileSweep) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psb_telemetry::NullTelemetry;
 
     #[test]
     fn sweep_compiles_each_point_once_and_shares_profiles() {
@@ -287,7 +265,7 @@ mod tests {
             ..EvalParams::default()
         };
         let workloads = vec!["grep".to_string(), "li".to_string()];
-        let sweep = compile_sweep(&workloads, &[], &params);
+        let sweep = compile_sweep(&workloads, &[], &params, None, &NullTelemetry);
         assert_eq!(sweep.rows.len(), 2 * Model::ALL.len());
         assert_eq!(sweep.cache.misses, 2 * Model::ALL.len() as u64);
         assert_eq!(sweep.cache.hits, 0);
@@ -318,7 +296,8 @@ mod tests {
         // Deterministic at any job count.
         let mut serial = sweep.clone();
         serial.zero_host();
-        let mut par = compile_sweep(&workloads, &[], &EvalParams { jobs: 4, ..params });
+        let par_params = EvalParams { jobs: 4, ..params };
+        let mut par = compile_sweep(&workloads, &[], &par_params, None, &NullTelemetry);
         par.zero_host();
         assert_eq!(serial, par);
     }

@@ -14,7 +14,7 @@
 use crate::runner::parallel_map_t;
 use psb_core::Engine;
 use psb_fuzz::{gen_case, run_case, shrink_case, write_repro, CaseStats, DiffConfig, FuzzFailure};
-use psb_telemetry::{NullTelemetry, Telemetry};
+use psb_telemetry::Telemetry;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -74,16 +74,13 @@ fn mix(seed: u64, i: u64) -> u64 {
 }
 
 /// Runs the sweep described by `p` and renders the report.
-pub fn run_fuzz(p: &FuzzParams) -> FuzzOutcome {
-    run_fuzz_t(p, &NullTelemetry)
-}
-
-/// [`run_fuzz`] with instrumentation: per-case task spans flow into
-/// `tel`, plus `fuzz.cases` / `fuzz.failures` counters.  With a fixed
-/// `--runs` the counters are jobs-deterministic; a `--time-budget`
-/// sweep stops at a machine-dependent chunk boundary, so its telemetry
-/// (like its report) is only comparable on one host.
-pub fn run_fuzz_t<T: Telemetry>(p: &FuzzParams, tel: &T) -> FuzzOutcome {
+///
+/// Per-case task spans flow into `tel`, plus `fuzz.cases` /
+/// `fuzz.failures` counters.  With a fixed `--runs` the counters are
+/// jobs-deterministic; a `--time-budget` sweep stops at a
+/// machine-dependent chunk boundary, so its telemetry (like its report)
+/// is only comparable on one host.
+pub fn run_fuzz<T: Telemetry>(p: &FuzzParams, tel: &T) -> FuzzOutcome {
     let cfg = DiffConfig {
         inject_recovery_bug: p.inject_recovery_bug,
         engine: p.engine,
@@ -209,6 +206,7 @@ pub fn run_fuzz_t<T: Telemetry>(p: &FuzzParams, tel: &T) -> FuzzOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psb_telemetry::NullTelemetry;
 
     fn quick_params() -> FuzzParams {
         FuzzParams {
@@ -225,8 +223,8 @@ mod tests {
             jobs: 4,
             ..p1.clone()
         };
-        let a = run_fuzz(&p1);
-        let b = run_fuzz(&p4);
+        let a = run_fuzz(&p1, &NullTelemetry);
+        let b = run_fuzz(&p4, &NullTelemetry);
         assert_eq!(a.report, b.report);
         assert_eq!(a.failures, 0, "{}", a.report);
     }
@@ -241,7 +239,7 @@ mod tests {
             corpus_dir: dir.clone(),
             ..FuzzParams::default()
         };
-        let out = run_fuzz(&p);
+        let out = run_fuzz(&p, &NullTelemetry);
         assert!(
             out.failures > 0,
             "injected bug went unnoticed:\n{}",

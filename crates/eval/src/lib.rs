@@ -41,22 +41,18 @@ mod trace;
 pub use psb_serve::json;
 
 pub use bench::{
-    cache_effectiveness_check, cache_effectiveness_check_t, check_report, engine_name,
-    parse_engines, render_bench, run_bench, run_bench_with_cache, run_bench_with_cache_t,
+    cache_effectiveness_check, check_report, engine_name, parse_engines, render_bench, run_bench,
     BenchCheck, BenchParams, BenchPoint, BenchReport, CacheCheck, EngineAggregate, HostSample,
     BENCH_SCHEMA_VERSION, KERNELS,
 };
-pub use cli::Cli;
-pub use compile_cmd::{
-    compile_sweep, compile_sweep_stored, compile_sweep_t, render_compile, CompileHost, CompileRow,
-    CompileSweep,
-};
+pub use cli::{Cli, EXPERIMENTS};
+pub use compile_cmd::{compile_sweep, render_compile, CompileHost, CompileRow, CompileSweep};
 pub use experiments::{
     ablation_counter, ablation_shadow, ablation_unroll, code_size, fig6, fig7, fig8, interaction,
     mix, sensitivity, summary, table2, table3, AblationResult, CodeSizeRow, Fig8Cell, Fig8Result,
     FigureResult, InteractionResult, MixRow, SensitivityRow, Table2Row, Table3Row,
 };
-pub use fuzz::{run_fuzz, run_fuzz_t, FuzzOutcome, FuzzParams};
+pub use fuzz::{run_fuzz, FuzzOutcome, FuzzParams};
 pub use json::{to_json_pretty, Json, ToJson};
 pub use render::{
     render_ablation, render_code_size, render_fig8, render_figure, render_interaction,
@@ -75,6 +71,6 @@ pub use telemetry_export::{
     telemetry_report_json, TELEMETRY_SCHEMA_VERSION,
 };
 pub use trace::{
-    chrome_trace, collect_profiles, collect_traces, obs_points, parse_model, render_profile,
-    ObsPoint, RunProfile, RunTrace,
+    chrome_trace, collect_profiles, collect_traces, obs_points, render_profile, ObsPoint,
+    RunProfile, RunTrace,
 };

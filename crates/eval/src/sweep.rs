@@ -16,14 +16,13 @@
 //! runs and gate counter drift against `baselines/sweep_baseline.json`
 //! via [`check_sweep`].
 
-use crate::bench::{asm_dir, check_points, BenchCheck};
+use crate::bench::{check_header, check_points, load_kernel, BenchCheck};
 use crate::json::{Json, ToJson};
 use crate::runner::parallel_map;
-use crate::trace::parse_model;
-use psb_compile::{compile, ArtifactCache, CompileRequest, ProfileSource};
-use psb_core::{CacheConfig, MachineConfig, MemoryModel, ShadowMode};
-use psb_scalar::{ScalarConfig, ScalarMachine};
+use psb_compile::{ArtifactCache, PointError, PointJob};
+use psb_core::{CacheConfig, MachineConfig, MemoryModel};
 use psb_sched::{Model, SchedConfig};
+use psb_telemetry::NullTelemetry;
 
 /// Version string stamped into the sweep report; a mismatch against the
 /// baseline is a hard check failure.
@@ -307,7 +306,9 @@ pub fn parse_grid(spec: &str, base: SweepGrid) -> Result<SweepGrid, String> {
                 } else {
                     grid.models = vals
                         .iter()
-                        .map(|v| parse_model(v).ok_or_else(|| format!("grid model `{v}` unknown")))
+                        .map(|v| {
+                            Model::from_name(v).ok_or_else(|| format!("grid model `{v}` unknown"))
+                        })
                         .collect::<Result<_, _>>()?;
                 }
             }
@@ -460,68 +461,43 @@ impl ToJson for SweepReport {
     }
 }
 
-/// Runs one (kernel × model) unit: load the kernel, run the golden
-/// model and compile once, then run every grid configuration once and
-/// hold its observable state equal to the golden model's.
+/// Runs one (kernel × model) unit as a point job: load the kernel, run
+/// the golden model and compile once, then run every grid configuration
+/// once, each checked against the golden model.
 fn run_unit(
     kernel: &str,
     model: Model,
     axes: &[MachineAxis],
     cache: &ArtifactCache,
 ) -> Vec<SweepPoint> {
-    let path = asm_dir().join(format!("{kernel}.asm"));
-    let case = psb_fuzz::load_repro(&path).unwrap_or_else(|e| panic!("sweep kernel {kernel}: {e}"));
-    let (program, fault_once) = (case.program, case.fault_once);
-    let scalar = ScalarMachine::new(
-        &program,
-        ScalarConfig {
-            fault_once_addrs: fault_once.clone(),
-            ..ScalarConfig::default()
-        },
-    )
-    .run()
-    .unwrap_or_else(|e| panic!("{kernel}: scalar run failed: {e}"));
-    let golden = scalar.observable(&program.live_out);
-    let sched = SchedConfig::new(model);
-    let shadow_mode = if sched.single_shadow {
-        ShadowMode::Single
-    } else {
-        ShadowMode::Infinite
-    };
-    let req = CompileRequest {
-        program: &program,
-        profile: ProfileSource::Provided(&scalar.edge_profile),
-        sched,
-    };
-    let art =
-        compile(&req, cache).unwrap_or_else(|e| panic!("{kernel}/{model}: compile failed: {e}"));
+    let (program, golden) = load_kernel(kernel);
+    let fail = |e: PointError| -> ! { panic!("{kernel}/{model}: {e}") };
+    let job = PointJob::new(&program, None, golden).unwrap_or_else(|e| fail(e));
+    let (art, _) = job
+        .compile(SchedConfig::new(model), cache, None, &NullTelemetry)
+        .unwrap_or_else(|e| fail(e));
 
     axes.iter()
         .map(|ax| {
             let icache = cache_axis_name(&ax.icache);
             let dcache = cache_axis_name(&ax.dcache);
-            let label = || {
-                format!(
-                    "{kernel}/{model}: width={} sb={} latency={} icache={icache} dcache={dcache}",
-                    ax.width, ax.sb, ax.latency
+            let res = job
+                .run(
+                    &art,
+                    MachineConfig {
+                        store_buffer_size: ax.sb,
+                        load_latency: ax.latency,
+                        memory: ax.memory(),
+                        ..MachineConfig::full_issue(ax.width)
+                    },
                 )
-            };
-            let res = art
-                .run(MachineConfig {
-                    shadow_mode,
-                    fault_once_addrs: fault_once.clone(),
-                    store_buffer_size: ax.sb,
-                    load_latency: ax.latency,
-                    memory: ax.memory(),
-                    ..MachineConfig::full_issue(ax.width)
-                })
-                .unwrap_or_else(|e| panic!("{}: machine error: {e}", label()));
-            assert_eq!(
-                res.observable(&program.live_out),
-                golden,
-                "{}: diverged from the scalar golden model",
-                label()
-            );
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "{kernel}/{model}: width={} sb={} latency={} icache={icache} \
+                         dcache={dcache}: {e}",
+                        ax.width, ax.sb, ax.latency
+                    )
+                });
             SweepPoint {
                 kernel: kernel.to_string(),
                 model: model.name().to_string(),
@@ -586,33 +562,15 @@ pub fn run_sweep(params: &SweepParams) -> SweepReport {
 /// a hard failure.
 pub fn check_sweep(current: &SweepReport, baseline: &Json) -> BenchCheck {
     let mut check = BenchCheck::default();
-
-    match baseline.get("schema_version").and_then(Json::as_str) {
-        Some(v) if v == SWEEP_SCHEMA_VERSION => {}
-        Some(v) => check.failures.push(format!(
-            "schema_version mismatch: baseline {v:?}, current {SWEEP_SCHEMA_VERSION:?}"
-        )),
-        None => check
-            .failures
-            .push("baseline has no schema_version".to_string()),
-    }
-    match baseline.get("suite").and_then(Json::as_str) {
-        Some(s) if s == current.suite => {}
-        Some(s) => check.failures.push(format!(
-            "suite mismatch: baseline ran {s:?}, current ran {:?}",
-            current.suite
-        )),
-        None => check.failures.push("baseline has no suite".to_string()),
-    }
-    match baseline.get("grid") {
-        Some(g) if g.pretty() == current.grid.to_json().pretty() => {}
-        Some(_) => check.failures.push(
-            "grid mismatch: the baseline swept a different grid (rebaseline deliberately)"
-                .to_string(),
-        ),
-        None => check.failures.push("baseline has no grid".to_string()),
-    }
-
+    check_header(
+        &mut check,
+        baseline,
+        &[
+            ("schema_version", SWEEP_SCHEMA_VERSION.to_json()),
+            ("suite", current.suite.to_json()),
+            ("grid", current.grid.to_json()),
+        ],
+    );
     let points: Vec<Json> = current.points.iter().map(ToJson::to_json).collect();
     check_points(
         &mut check,

@@ -18,13 +18,14 @@
 //! speculative exceptions are instant events (`ph:"i"`).
 
 use crate::json::{Json, ToJson};
-use crate::runner::{parallel_map, run_scalar, EvalParams, BENCHMARKS};
-use psb_compile::{compile, ArtifactCache, CompileRequest, ProfileSource};
+use crate::runner::{parallel_map, workload_pair, EvalParams, BENCHMARKS};
+use psb_compile::{ArtifactCache, PointError, PointJob};
 use psb_core::{
     CountersSink, Event, EventLog, Histogram, ObsReport, OccupancyStats, TraceSink, VliwResult,
 };
 use psb_scalar::ScalarConfig;
 use psb_sched::Model;
+use psb_telemetry::NullTelemetry;
 use std::fmt::Write as _;
 
 /// One traced or profiled (workload, model) point.
@@ -67,11 +68,6 @@ pub fn obs_points(workloads: &[String], models: &[Model]) -> Vec<ObsPoint> {
         .collect()
 }
 
-/// Parses a `--model` argument against [`Model::ALL`] names.
-pub fn parse_model(name: &str) -> Option<Model> {
-    Model::ALL.iter().copied().find(|m| m.name() == name)
-}
-
 /// Compiles one point, runs it feeding `sink`, and holds the run's
 /// observable state equal to the scalar golden model's on the same
 /// evaluation input.
@@ -81,31 +77,17 @@ fn run_point<S: TraceSink>(
     cache: &ArtifactCache,
     sink: S,
 ) -> (VliwResult, S) {
-    let train = psb_workloads::by_name(p.workload, params.train_seed, params.size)
-        .unwrap_or_else(|| panic!("unknown workload {}", p.workload));
-    let eval = psb_workloads::by_name(p.workload, params.eval_seed, params.size)
-        .unwrap_or_else(|| panic!("unknown workload {}", p.workload));
-    let scalar = run_scalar(&eval);
-    let req = CompileRequest {
-        program: &eval.program,
-        profile: ProfileSource::Train {
-            program: &train.program,
-            config: ScalarConfig::default(),
-        },
-        sched: params.sched_config(p.model),
-    };
-    let art = compile(&req, cache)
-        .unwrap_or_else(|e| panic!("{}/{}: compile failed: {e}", p.workload, p.model));
-    let (res, sink) = art
-        .run_with_sink(params.machine_config(), sink)
-        .unwrap_or_else(|e| panic!("{}/{}: machine error: {e}", p.workload, p.model));
-    assert_eq!(
-        res.observable(&eval.program.live_out),
-        scalar.observable(&eval.program.live_out),
-        "{}/{}: diverged from the scalar golden model",
-        p.workload,
-        p.model
-    );
+    let fail = |e: PointError| -> ! { panic!("{}/{}: {e}", p.workload, p.model) };
+    let (train, eval) = workload_pair(p.workload, params);
+    let job = PointJob::new(&eval.program, Some(&train.program), ScalarConfig::default())
+        .unwrap_or_else(|e| fail(e));
+    let (art, _) = job
+        .compile(params.sched_config(p.model), cache, None, &NullTelemetry)
+        .unwrap_or_else(|e| fail(e));
+    let (res, sink) = job
+        .run_with_sink(&art, params.machine_config(), sink)
+        .unwrap_or_else(|e| fail(e));
+    job.check(&res).unwrap_or_else(|e| fail(e));
     (res, sink)
 }
 
@@ -541,8 +523,8 @@ mod tests {
         assert!(obs_points(&["nope".to_string()], &[]).is_empty());
         let pair = obs_points(&["grep".to_string(), "li".to_string()], &Model::ALL);
         assert_eq!(pair.len(), 2 * Model::ALL.len());
-        assert_eq!(parse_model("region-pred"), Some(Model::RegionPred));
-        assert_eq!(parse_model("bogus"), None);
+        assert_eq!(Model::from_name("region-pred"), Some(Model::RegionPred));
+        assert_eq!(Model::from_name("bogus"), None);
     }
 
     #[test]

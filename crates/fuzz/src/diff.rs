@@ -11,9 +11,9 @@
 //! have been a no-op, …).
 
 use crate::gen::FuzzCase;
-use psb_compile::{compile, ArtifactCache, CompileError, CompileRequest, ProfileSource};
-use psb_core::{CacheConfig, Engine, InvariantSink, MachineConfig, MemoryModel, ShadowMode};
-use psb_scalar::{ScalarConfig, ScalarMachine};
+use psb_compile::{ArtifactCache, CompileError, NullTelemetry, PointError, PointJob};
+use psb_core::{CacheConfig, Engine, InvariantSink, MachineConfig, MemoryModel};
+use psb_scalar::ScalarConfig;
 use psb_sched::{Model, SchedConfig};
 use std::fmt;
 use std::sync::Arc;
@@ -162,22 +162,6 @@ pub struct CaseStats {
     pub squashes: u64,
 }
 
-fn render_observable(expected: &(Vec<i64>, Vec<i64>), got: &(Vec<i64>, Vec<i64>)) -> String {
-    if expected.0 != got.0 {
-        for (i, (e, g)) in expected.0.iter().zip(&got.0).enumerate() {
-            if e != g {
-                return format!("live-out #{i}: expected {e}, got {g}");
-            }
-        }
-    }
-    for (addr, (e, g)) in expected.1.iter().zip(&got.1).enumerate() {
-        if e != g {
-            return format!("memory[{addr}]: expected {e}, got {g}");
-        }
-    }
-    "live-out arity mismatch".into()
-}
-
 /// Runs `case` through every configured model and checks both the
 /// end-state differential and the online invariants.
 ///
@@ -186,54 +170,44 @@ fn render_observable(expected: &(Vec<i64>, Vec<i64>), got: &(Vec<i64>, Vec<i64>)
 /// The first [`FuzzFailure`] encountered, in model order — deterministic
 /// for a given case and config.
 pub fn run_case(case: &FuzzCase, cfg: &DiffConfig) -> Result<CaseStats, FuzzFailure> {
-    let prog = &case.program;
-    let mut scfg = ScalarConfig {
+    let mut golden = ScalarConfig {
         fault_once_addrs: case.fault_once.clone(),
         ..ScalarConfig::default()
     };
     if let Some(cap) = cfg.max_cycles {
-        scfg.max_cycles = cap;
+        golden.max_cycles = cap;
     }
-    let scalar = ScalarMachine::new(prog, scfg)
-        .run()
-        .map_err(|e| FuzzFailure::Scalar(e.to_string()))?;
-    let expected = scalar.observable(&prog.live_out);
+    // Self-trained: the golden run's profile guides every model's
+    // schedule instead of a second scalar execution per model.
+    let job = PointJob::new(&case.program, None, golden).map_err(|e| {
+        FuzzFailure::Scalar(match e {
+            PointError::Scalar(e) => e.to_string(),
+            other => other.to_string(),
+        })
+    })?;
 
     let mut stats = CaseStats::default();
     for &model in &cfg.models {
-        let sched_cfg = SchedConfig::new(model);
-        let single_shadow = sched_cfg.single_shadow;
-        let req = CompileRequest {
-            program: prog,
-            // The golden run above already produced the profile; reuse it
-            // instead of paying for a second scalar execution per model.
-            profile: ProfileSource::Provided(&scalar.edge_profile),
-            sched: sched_cfg,
-        };
-        let art =
-            compile(&req, &cfg.cache).map_err(|error| FuzzFailure::Compile { model, error })?;
-        let mut mcfg = MachineConfig {
-            shadow_mode: if single_shadow {
-                ShadowMode::Single
-            } else {
-                ShadowMode::Infinite
+        let failure = |e: PointError| match e {
+            PointError::Scalar(e) => FuzzFailure::Scalar(e.to_string()),
+            PointError::Compile(error) => FuzzFailure::Compile { model, error },
+            PointError::Machine(e) => FuzzFailure::Machine {
+                model,
+                message: e.to_string(),
             },
-            fault_once_addrs: case.fault_once.clone(),
+            PointError::Diverged(detail) => FuzzFailure::Diverged { model, detail },
+        };
+        let (art, _) = job
+            .compile(SchedConfig::new(model), &cfg.cache, None, &NullTelemetry)
+            .map_err(failure)?;
+        let mcfg = MachineConfig {
             defer_recovery_exit_commit: cfg.inject_recovery_bug,
             engine: cfg.engine,
             memory: cfg.memory,
             ..MachineConfig::default()
         };
-        if let Some(cap) = cfg.max_cycles {
-            mcfg.max_cycles = cap;
-        }
-        let sink = InvariantSink::new(art.program.num_conds, single_shadow);
-        let (res, mut sink) = art
-            .run_with_sink(mcfg, sink)
-            .map_err(|e| FuzzFailure::Machine {
-                model,
-                message: e.to_string(),
-            })?;
+        let sink = InvariantSink::new(art.program.num_conds, art.sched().single_shadow);
+        let (res, mut sink) = job.run_with_sink(&art, mcfg, sink).map_err(failure)?;
         let violations = sink.finalize();
         if !violations.is_empty() {
             let detail = violations
@@ -244,13 +218,7 @@ pub fn run_case(case: &FuzzCase, cfg: &DiffConfig) -> Result<CaseStats, FuzzFail
                 .join("; ");
             return Err(FuzzFailure::Invariant { model, detail });
         }
-        let got = res.observable(&prog.live_out);
-        if got != expected {
-            return Err(FuzzFailure::Diverged {
-                model,
-                detail: render_observable(&expected, &got),
-            });
-        }
+        job.check(&res).map_err(failure)?;
         stats.recoveries += res.recoveries;
         stats.faults += res.faults_handled;
         stats.commits += res.commits;

@@ -9,13 +9,18 @@
 
 use crate::json::{Json, ToJson};
 use psb_compile::{
-    compile_stored, ArtifactCache, ArtifactSource, CompileRequest, DiskStore, ProfileSource,
+    compile_trained, ArtifactCache, ArtifactSource, DiskStore, PointError, PointJob,
 };
 use psb_core::{MachineConfig, MemoryModel, VliwError};
 use psb_isa::{parse_program, ScalarProgram};
-use psb_scalar::{RunError, RunResult, ScalarConfig, ScalarMachine};
+use psb_scalar::{RunError, ScalarConfig};
 use psb_sched::{Model, SchedConfig};
 use psb_telemetry::{names, parallel_map_t, Telemetry};
+
+/// The largest workload `size` a request may ask for.  A workload's
+/// generation costs time and memory linear in its size before any cycle
+/// budget applies; every size in use (96 to 2048) is far below this.
+const MAX_SIZE: usize = 65_536;
 
 /// Where a request's programs come from.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -102,19 +107,6 @@ fn bad(msg: impl Into<String>) -> ApiError {
     ApiError::BadRequest(msg.into())
 }
 
-/// Looks up a model by its report name.
-///
-/// # Errors
-///
-/// [`ApiError::BadRequest`] naming the unknown model.
-pub fn parse_model(name: &str) -> Result<Model, ApiError> {
-    Model::ALL
-        .iter()
-        .copied()
-        .find(|m| m.name() == name)
-        .ok_or_else(|| bad(format!("unknown model '{name}'")))
-}
-
 fn get_u64(obj: &Json, key: &str, default: u64) -> Result<u64, ApiError> {
     match obj.get(key) {
         None => Ok(default),
@@ -188,9 +180,10 @@ impl SimRequest {
             Some(Json::Array(items)) if !items.is_empty() => items
                 .iter()
                 .map(|m| {
-                    m.as_str()
-                        .ok_or_else(|| bad("'models' entries must be strings"))
-                        .and_then(parse_model)
+                    let name = m
+                        .as_str()
+                        .ok_or_else(|| bad("'models' entries must be strings"))?;
+                    Model::from_name(name).ok_or_else(|| bad(format!("unknown model '{name}'")))
                 })
                 .collect::<Result<Vec<Model>, ApiError>>()?,
             Some(_) => {
@@ -199,7 +192,10 @@ impl SimRequest {
                 ))
             }
         };
-        let size = get_u64(v, "size", psb_workloads::DEFAULT_SIZE as u64)? as usize;
+        let size = get_u64(v, "size", psb_workloads::DEFAULT_SIZE as u64)?;
+        if size > MAX_SIZE as u64 {
+            return Err(bad(format!("'size' must be at most {MAX_SIZE}")));
+        }
         let max_cycles = match v.get("max_cycles") {
             None => None,
             Some(_) => Some(get_u64(v, "max_cycles", 0)?),
@@ -207,7 +203,7 @@ impl SimRequest {
         Ok(SimRequest {
             source,
             models,
-            size,
+            size: size as usize,
             train_seed: get_u64(v, "train_seed", 11)?,
             eval_seed: get_u64(v, "eval_seed", 1234)?,
             max_cycles,
@@ -270,24 +266,26 @@ fn resolve(req: &SimRequest) -> Result<Programs, ApiError> {
     }
 }
 
-fn run_golden(eval: &ScalarProgram, budget: u64) -> Result<RunResult, ApiError> {
-    let cfg = ScalarConfig {
-        max_cycles: budget,
-        ..ScalarConfig::default()
-    };
-    ScalarMachine::new(eval, cfg).run().map_err(|e| match e {
-        RunError::CycleLimit(n) => {
+/// Maps a failed point step of `model` (`None` for the golden run) onto
+/// the status the server returns: a budget overrun is a 503, a program
+/// the scalar machine rejects is the client's fault, and anything else
+/// is a pipeline bug.
+fn point_error(model: Option<Model>, e: PointError) -> ApiError {
+    let m = model.map_or(String::new(), |m| format!("{m}: "));
+    match e {
+        PointError::Scalar(RunError::CycleLimit(n)) => {
             ApiError::OverBudget(format!("scalar golden run exceeded the {n}-cycle budget"))
         }
-        other => bad(format!("program faults on the scalar machine: {other}")),
-    })
-}
-
-/// One model's slice of a `/run` or `/compile` response.
-struct ModelOutcome {
-    model: Model,
-    source: ArtifactSource,
-    json: Json,
+        PointError::Scalar(e) => bad(format!("program faults on the scalar machine: {e}")),
+        PointError::Compile(e) => ApiError::Internal(format!("{m}compile failed: {e}")),
+        PointError::Machine(VliwError::CycleLimit(n)) => {
+            ApiError::OverBudget(format!("{m}simulation exceeded the {n}-cycle budget"))
+        }
+        PointError::Machine(e) => ApiError::Internal(format!("{m}machine error: {e}")),
+        PointError::Diverged(_) => {
+            ApiError::Internal(format!("{m}diverged from the scalar golden model"))
+        }
+    }
 }
 
 fn count_cache_outcome<T: Telemetry>(tel: &T, source: ArtifactSource) {
@@ -320,74 +318,53 @@ pub fn handle_run<T: Telemetry>(
     // over-budget request never perturbs cache or store state: its
     // rejection (and every counter it touches) is identical whether the
     // artifact is cached or not.
-    let scalar = {
+    let job = {
         let _sp = tel.span("serve", || format!("golden:{}", programs.name));
-        run_golden(&programs.eval, budget)?
+        let golden = ScalarConfig {
+            max_cycles: budget,
+            ..ScalarConfig::default()
+        };
+        PointJob::new(&programs.eval, Some(&programs.train), golden)
+            .map_err(|e| point_error(None, e))?
     };
     let outcomes = parallel_map_t(
         &req.models,
         jobs,
         tel,
         |_, m| format!("run:{}:{m}", programs.name),
-        |&model| -> Result<ModelOutcome, ApiError> {
-            let creq = CompileRequest {
-                program: &programs.eval,
-                profile: ProfileSource::Train {
-                    program: &programs.train,
-                    config: ScalarConfig::default(),
-                },
-                sched: SchedConfig::new(model),
-            };
-            let (art, source) = compile_stored(&creq, cache, store, tel)
-                .map_err(|e| ApiError::Internal(format!("{model}: compile failed: {e}")))?;
+        |&model| -> Result<Json, ApiError> {
+            let (art, source) = job
+                .compile(SchedConfig::new(model), cache, store, tel)
+                .map_err(|e| point_error(Some(model), e))?;
             count_cache_outcome(tel, source);
             let cfg = MachineConfig {
-                max_cycles: budget,
                 memory: req.memory,
                 ..MachineConfig::default()
             };
-            let res = art.run(cfg).map_err(|e| match e {
-                VliwError::CycleLimit(n) => ApiError::OverBudget(format!(
-                    "{model}: simulation exceeded the {n}-cycle budget"
-                )),
-                other => ApiError::Internal(format!("{model}: machine error: {other}")),
-            })?;
-            if res.observable(&programs.eval.live_out) != scalar.observable(&programs.eval.live_out)
-            {
-                return Err(ApiError::Internal(format!(
-                    "{model}: diverged from the scalar golden model"
-                )));
-            }
-            let speedup = scalar.cycles as f64 / res.cycles as f64;
-            Ok(ModelOutcome {
-                model,
-                source,
-                json: Json::obj(vec![
-                    ("model", model.name().to_json()),
-                    ("source", source.name().to_json()),
-                    (
-                        "content_hash",
-                        Json::Str(format!("{:016x}", art.content_hash)),
-                    ),
-                    ("vliw_cycles", (res.cycles as i64).to_json()),
-                    ("speedup", speedup.to_json()),
-                    ("static_ops", art.program.static_ops().to_json()),
-                    ("squashed_ops", (res.ops_squashed as i64).to_json()),
-                    ("recoveries", (res.recoveries as i64).to_json()),
-                    ("stall_ifetch", (res.stall_ifetch as i64).to_json()),
-                    ("stall_load_miss", (res.stall_load_miss as i64).to_json()),
-                    ("icache_misses", (res.icache_misses as i64).to_json()),
-                    ("dcache_misses", (res.dcache_misses as i64).to_json()),
-                ]),
-            })
+            let res = job
+                .run(&art, cfg)
+                .map_err(|e| point_error(Some(model), e))?;
+            let speedup = job.golden().cycles as f64 / res.cycles as f64;
+            Ok(Json::obj(vec![
+                ("model", model.name().to_json()),
+                ("source", source.name().to_json()),
+                (
+                    "content_hash",
+                    Json::Str(format!("{:016x}", art.content_hash)),
+                ),
+                ("vliw_cycles", (res.cycles as i64).to_json()),
+                ("speedup", speedup.to_json()),
+                ("static_ops", art.program.static_ops().to_json()),
+                ("squashed_ops", (res.ops_squashed as i64).to_json()),
+                ("recoveries", (res.recoveries as i64).to_json()),
+                ("stall_ifetch", (res.stall_ifetch as i64).to_json()),
+                ("stall_load_miss", (res.stall_load_miss as i64).to_json()),
+                ("icache_misses", (res.icache_misses as i64).to_json()),
+                ("dcache_misses", (res.dcache_misses as i64).to_json()),
+            ]))
         },
     );
-    let mut models = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        let o = o?;
-        let _ = (o.model, o.source);
-        models.push(o.json);
-    }
+    let models = outcomes.into_iter().collect::<Result<Vec<Json>, _>>()?;
     Ok(Json::obj(vec![
         ("name", programs.name.to_json()),
         ("size", req.size.to_json()),
@@ -395,7 +372,7 @@ pub fn handle_run<T: Telemetry>(
         ("eval_seed", (req.eval_seed as i64).to_json()),
         ("budget", (budget as i64).to_json()),
         ("memory", Json::Str(req.memory.to_string())),
-        ("scalar_cycles", (scalar.cycles as i64).to_json()),
+        ("scalar_cycles", (job.golden().cycles as i64).to_json()),
         ("models", Json::Array(models)),
     ]))
 }
@@ -421,16 +398,15 @@ pub fn handle_compile<T: Telemetry>(
         tel,
         |_, m| format!("compile:{}:{m}", programs.name),
         |&model| -> Result<Json, ApiError> {
-            let creq = CompileRequest {
-                program: &programs.eval,
-                profile: ProfileSource::Train {
-                    program: &programs.train,
-                    config: ScalarConfig::default(),
-                },
-                sched: SchedConfig::new(model),
-            };
-            let (art, source) = compile_stored(&creq, cache, store, tel)
-                .map_err(|e| ApiError::Internal(format!("{model}: compile failed: {e}")))?;
+            let (art, source) = compile_trained(
+                &programs.eval,
+                &programs.train,
+                SchedConfig::new(model),
+                cache,
+                store,
+                tel,
+            )
+            .map_err(|e| point_error(Some(model), e))?;
             count_cache_outcome(tel, source);
             Ok(Json::obj(vec![
                 ("model", model.name().to_json()),
@@ -499,6 +475,7 @@ mod tests {
                 "unknown model",
             ),
             (r#"{"workload": "grep", "size": -3}"#, "'size'"),
+            (r#"{"workload": "grep", "size": 65537}"#, "'size'"),
             (r#"{"workload": 7}"#, "'workload' must be a string"),
             (r#"[1, 2]"#, "JSON object"),
             (r#"{"workload": "grep""#, "malformed JSON"),

@@ -160,7 +160,7 @@ impl<T: Telemetry> Drop for SpanGuard<'_, T> {
 }
 
 /// The always-on no-op carrier.  Every hook inherits the trait's empty
-/// default, so `compile_with(&NullTelemetry, ...)` monomorphizes to the
+/// default, so `compile_stored(.., &NullTelemetry)` monomorphizes to the
 /// same code as the uninstrumented pipeline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct NullTelemetry;
