@@ -54,7 +54,7 @@ pub use store::{
 use cache::ProfileEntry;
 use hash::{word_hash, DebugHasher};
 use psb_core::{
-    BatchReport, BatchedMachine, DecodedProgram, MachineConfig, TraceSink, VliwError, VliwMachine,
+    BatchReport, DecodedProgram, EventLog, MachineConfig, TraceSink, VliwError, VliwMachine,
     VliwResult,
 };
 use psb_isa::{ScalarProgram, VliwProgram};
@@ -324,7 +324,7 @@ impl CompiledArtifact {
     ///
     /// See [`VliwMachine::with_sink_decoded`] and [`VliwMachine::run`].
     pub fn run(&self, cfg: MachineConfig) -> Result<VliwResult, VliwError> {
-        let sink = psb_core::EventLog::new(cfg.record_events);
+        let sink = EventLog::new(cfg.record_events);
         VliwMachine::with_sink_decoded(&self.program, Arc::clone(&self.decoded), cfg, sink)?.run()
     }
 
@@ -343,18 +343,19 @@ impl CompiledArtifact {
             .run_into_sink()
     }
 
-    /// Runs the artifact's program under every configuration in `cfgs`
-    /// at once on the batched lockstep engine: one shared decoded arena,
-    /// one admission pass per distinct width/resource pair, per-lane
-    /// default [`psb_core::EventLog`] sinks.  This is the
-    /// one-artifact → many-configs API the content-addressed cache key
-    /// was designed for (it deliberately excludes `MachineConfig`).
-    ///
-    /// Lane failures are per-lane values in the report, never an `Err`
-    /// of the whole batch; each lane's outcome is byte-equal to what
-    /// [`run`](Self::run) would return for the same configuration.
-    pub fn run_batch(&self, cfgs: &[MachineConfig]) -> BatchReport<psb_core::EventLog> {
-        BatchedMachine::new(&self.program, Arc::clone(&self.decoded), cfgs).run()
+    /// Runs the artifact's program under every configuration in `cfgs`,
+    /// each through [`run`](Self::run), and reports the outcomes in grid
+    /// order with their cycle totals.  A configuration's failure is its
+    /// lane's `Err`, never the grid's.
+    pub fn run_batch(&self, cfgs: &[MachineConfig]) -> BatchReport {
+        BatchReport::new(
+            cfgs.iter()
+                .map(|cfg| {
+                    let sink = EventLog::new(cfg.record_events);
+                    self.run(cfg.clone()).map(|res| (res, sink))
+                })
+                .collect(),
+        )
     }
 
     /// The scheduling configuration the artifact was compiled for.

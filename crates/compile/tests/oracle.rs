@@ -3,13 +3,16 @@
 //! must be byte-equal to one produced by the uncached `compile_fresh`
 //! path — same content hash, same program, same decoded arena — and the
 //! two paths must agree on failures too.  Also proves the request keys
-//! of the seven models never collide on one program, and that the key
-//! sees every field of a request.
+//! of the seven models never collide on one program, that the key
+//! sees every field of a request, and that a grid run is a solo run per
+//! configuration.
 
 use proptest::prelude::*;
 use psb_compile::{
     compile, compile_fresh, ArtifactCache, CompileError, CompileRequest, ProfileSource,
 };
+use psb_core::batch::DEFAULT_STRIDE;
+use psb_core::{EventLog, MachineConfig, MemoryModel, VliwError};
 use psb_fuzz::gen_case;
 use psb_isa::{BlockId, Op, Reg, ScalarProgram, Src, Terminator};
 use psb_scalar::{EdgeProfile, ScalarConfig, ScalarMachine};
@@ -315,4 +318,51 @@ fn key_sees_every_field() {
         seen.insert(provided_key(&profile)),
         "provided and trained keys collide"
     );
+}
+
+/// `run_batch` is `run` per configuration: every lane is exactly the
+/// solo run's result (or error), and the totals are the documented sums.
+#[test]
+fn run_batch_is_run_per_configuration() {
+    let prog = li(3);
+    let art = compile_fresh(&CompileRequest {
+        program: &prog,
+        profile: ProfileSource::Train {
+            program: &li(11),
+            config: ScalarConfig::default(),
+        },
+        sched: SchedConfig::new(Model::RegionPred),
+    })
+    .unwrap();
+    let mut cfgs = Vec::new();
+    for width in [2, 4, 8] {
+        for memory in ["perfect", "cache:8x1x2x1x4:64x2x4x1x10"] {
+            cfgs.push(MachineConfig {
+                store_buffer_size: 4 * width,
+                memory: MemoryModel::parse(memory).unwrap(),
+                record_events: width == 4,
+                ..MachineConfig::full_issue(width)
+            });
+        }
+    }
+    let solo: Vec<_> = cfgs
+        .iter()
+        .map(|cfg| {
+            let sink = EventLog::new(cfg.record_events);
+            art.run(cfg.clone()).map(|res| (res, sink))
+        })
+        .collect();
+    let rep = art.run_batch(&cfgs);
+    assert_eq!(rep.lanes, solo);
+    // The schedule is 4-wide, so the 2-wide machine fails admission.
+    assert!(solo[..2]
+        .iter()
+        .all(|l| matches!(l, Err(VliwError::Malformed(_)))));
+    let cycles: Vec<u64> = solo[2..]
+        .iter()
+        .map(|l| l.as_ref().unwrap().0.cycles)
+        .collect();
+    assert_eq!(rep.lane_cycles, cycles.iter().sum::<u64>());
+    let longest = *cycles.iter().max().unwrap();
+    assert_eq!(rep.batch_cycles, longest.div_ceil(DEFAULT_STRIDE));
 }

@@ -67,12 +67,12 @@ mod obs;
 mod regfile;
 mod storebuf;
 
-pub use batch::{BatchReport, BatchedMachine, LaneOutcome};
+pub use batch::{BatchReport, LaneOutcome};
 pub use config::{CommitScan, Engine, MachineConfig, ShadowMode};
 pub use decoded::{DecodedProgram, DecodedSlot, DecodedWord};
 pub use event::{audit_events, AuditViolation, Event, EventLog, StateLoc};
 pub use invariant::{InvariantSink, InvariantViolation};
-pub use machine::{RunStats, StepOutcome, VliwError, VliwMachine, VliwResult};
+pub use machine::{RunStats, VliwError, VliwMachine, VliwResult};
 pub use mem::{CacheConfig, CacheModel, CacheProbe, MemCounters, MemoryModel, MemorySystem};
 pub use obs::{
     CountersSink, CycleSample, Histogram, NullSink, ObsReport, OccupancyStats, RegionProfile,

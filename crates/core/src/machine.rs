@@ -267,19 +267,15 @@ enum IssueOutcome {
 }
 
 /// What one call to [`VliwMachine::step_cycle`] did.
-///
-/// Lockstep drivers (the batched sweep engine in [`crate::batch`]) use
-/// this to decide whether a lane takes another cycle or retires; the
-/// solo [`VliwMachine::run_into_sink`] loop is the canonical consumer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StepOutcome {
+enum StepOutcome {
     /// The machine took one architectural cycle (issue, stall or
-    /// recovery entry) and can step again.
+    /// recovery entry), or skipped an inert stall run, and can step
+    /// again.
     Running,
     /// The machine issued its halt word this cycle.  No further cycles
-    /// may be stepped; the caller must finish with
-    /// [`VliwMachine::finish`] to drain buffered state into a
-    /// [`VliwResult`].
+    /// may be stepped; [`VliwMachine::finish`] drains buffered state
+    /// into a [`VliwResult`].
     Halted,
 }
 
@@ -323,8 +319,8 @@ impl<'p> VliwMachine<'p> {
     /// Defined for the default sink only, so its cycle loop is compiled
     /// once, in this crate, whichever crate calls it: a compiled
     /// artifact's runs get the same inlining as [`run_program`], where
-    /// [`step_cycle`](VliwMachine::step_cycle) has this loop as its only
-    /// caller.  Other sinks use [`run_into_sink`](VliwMachine::run_into_sink).
+    /// the private `step_cycle` has this loop as its only caller.
+    /// Other sinks use [`run_into_sink`](VliwMachine::run_into_sink).
     ///
     /// [`run_program`]: VliwMachine::run_program
     ///
@@ -389,7 +385,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
 
     /// The construction-time checks shared by every constructor: program
     /// validation plus issue-width and function-unit admission.
-    pub(crate) fn validate_for(prog: &VliwProgram, cfg: &MachineConfig) -> Result<(), VliwError> {
+    fn validate_for(prog: &VliwProgram, cfg: &MachineConfig) -> Result<(), VliwError> {
         cfg.memory
             .validate()
             .map_err(|e| VliwError::Malformed(format!("memory model: {e}")))?;
@@ -418,7 +414,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     }
 
     /// Assembles the machine once validation has passed.
-    pub(crate) fn build(
+    fn build(
         prog: &'p VliwProgram,
         decoded: Arc<DecodedProgram>,
         cfg: MachineConfig,
@@ -673,15 +669,18 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
 
     /// End-of-cycle writeback of matured in-flight loads; the destination
     /// is chosen by the predicate *now* (commit during execution).  Runs
-    /// every cycle, including stall cycles.
-    fn writeback_inflight(&mut self) -> Result<(), VliwError> {
+    /// every cycle, including stall cycles.  Returns whether any write
+    /// landed.
+    fn writeback_inflight(&mut self) -> Result<bool, VliwError> {
         let cycle = self.cycle;
+        let mut landed = false;
         let mut i = 0;
         while i < self.inflight.len() {
             if self.inflight[i].ready_end > cycle {
                 i += 1;
                 continue;
             }
+            landed = true;
             let f = self.inflight.swap_remove(i);
             match f.pred.eval(&self.ccr) {
                 Cond::True => {
@@ -703,7 +702,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 }
             }
         }
-        Ok(())
+        Ok(landed)
     }
 
     fn apply_writes(&mut self, writes: &[PendingWrite]) -> Result<(), VliwError> {
@@ -1650,22 +1649,18 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         }
     }
 
-    /// Takes exactly one architectural cycle: commit pass, store retire,
+    /// Takes one architectural cycle: commit pass, store retire,
     /// recovery-exit check, issue (or stall), writeback, and the
     /// end-of-cycle sample.  This is the *entire* per-cycle semantics of
-    /// the machine — [`run_into_sink`](Self::run_into_sink) is a bare
-    /// loop over it, and the batched lockstep driver
-    /// ([`BatchedMachine`](crate::BatchedMachine)) interleaves calls
-    /// across lanes, so a lane's trajectory is byte-equal to a solo run
-    /// by construction rather than by re-implementation.
+    /// the machine; [`run_into_sink`](Self::run_into_sink) is a bare
+    /// loop over it.  Under [`Engine::Tabled`] a stall cycle may be
+    /// followed by a jump over the rest of its inert stall run
+    /// ([`skip_stall_run`](Self::skip_stall_run)), so one call can
+    /// advance `cycle` by more than one.
     ///
     /// After [`StepOutcome::Halted`] the caller must not step again;
     /// finish with [`finish`](Self::finish).
-    ///
-    /// # Errors
-    ///
-    /// See [`VliwMachine::run`].
-    pub fn step_cycle(&mut self) -> Result<StepOutcome, VliwError> {
+    fn step_cycle(&mut self) -> Result<StepOutcome, VliwError> {
         // The tabled engine's cycle driver proves the commit hardware
         // inert before invoking it: a pass over an empty register file or
         // store buffer commits nothing, squashes nothing and emits no
@@ -1751,11 +1746,12 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
             };
             // 5. End of cycle: writebacks run unconditionally (loads mature
             // during stalls too); then this word's effects.
-            self.writeback_inflight()?;
+            let landed = self.writeback_inflight()?;
             let out = match outcome {
                 IssueOutcome::Issued(out) => out,
                 IssueOutcome::Stalled(kind) => {
                     self.end_cycle(issued_word, Some(kind));
+                    self.skip_stall_run(kind, landed);
                     return Ok(StepOutcome::Running);
                 }
             };
@@ -1830,18 +1826,71 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         Ok(StepOutcome::Running)
     }
 
+    /// Called once a stall cycle of `kind` has ended (`landed`: its
+    /// writeback retired an in-flight write).  Under [`Engine::Tabled`],
+    /// when every following cycle up to a known wake cycle would repeat
+    /// that stall and change nothing else, this jumps `cycle` to the
+    /// wake cycle and charges the skipped cycles to `kind`'s
+    /// [`RunStats`] bucket in one add.  That holds when no write landed,
+    /// the machine is in normal mode, the sink takes no per-cycle
+    /// samples, and the store buffer's head is empty or a valid
+    /// speculative entry (DESIGN.md §12.6 gives the argument).  The wake
+    /// cycle is the earliest of the next in-flight write's maturity, the
+    /// end of a `Busy` stall, the fetched word's arrival (`IFetch`) and
+    /// the first cycle past the limit.  [`Engine::Legacy`] steps every
+    /// cycle and is the reference.
+    ///
+    /// Cold and out of line, conditions included: checked in line on
+    /// every stall they cost the perfect-memory runs, whose stall runs
+    /// are one or two cycles long, more than the skip saves.
+    #[cold]
+    #[inline(never)]
+    fn skip_stall_run(&mut self, kind: StallKind, landed: bool) {
+        if landed
+            || !matches!(self.cfg.engine, Engine::Tabled)
+            || self.mode != Mode::Normal
+            || self.sink.sample_enabled()
+            || !self.sb.head_blocks_retire()
+        {
+            return;
+        }
+        let limit = self.cfg.max_cycles.saturating_add(1);
+        let mut wake = self
+            .inflight
+            .iter()
+            .map(|f| f.ready_end)
+            .fold(limit, u64::min);
+        let bucket = match kind {
+            StallKind::Busy => {
+                wake = wake.min(self.busy_until + 1);
+                &mut self.stats.stall_busy
+            }
+            StallKind::IFetch => {
+                wake = wake.min(self.mem.fetch_ready_at());
+                &mut self.stats.stall_ifetch
+            }
+            StallKind::Operand => &mut self.stats.stall_operand,
+            StallKind::LoadMiss => &mut self.stats.stall_load_miss,
+            StallKind::SbFull => return,
+        };
+        if wake > self.cycle {
+            *bucket += wake - self.cycle;
+            self.cycle = wake;
+        }
+    }
+
     /// Halt: close the final region and drain the pipeline and store
     /// buffer, charging one cycle per D-cache write beyond the halt
     /// cycle.  Must only be called after
     /// [`step_cycle`](Self::step_cycle) returned
     /// [`StepOutcome::Halted`]; consuming the machine makes stepping a
-    /// retired lane impossible by construction.
+    /// halted machine impossible by construction.
     ///
     /// # Errors
     ///
     /// [`VliwError::Malformed`] if an unresolved speculative store is
     /// still buffered at halt (an invariant violation).
-    pub fn finish(mut self) -> Result<(VliwResult, S), VliwError> {
+    fn finish(mut self) -> Result<(VliwResult, S), VliwError> {
         let cycle = self.cycle;
         self.stats.squashes += self.regs.squash_spec(cycle, &mut self.sink);
         self.stats.squashes += self.sb.squash_spec(cycle, &mut self.sink);

@@ -1204,3 +1204,71 @@ fn retire_bandwidth_respected() {
     // cycles 2-5, so the buffer is already empty when the halt drains.
     assert_eq!(res.cycles, 5);
 }
+
+#[test]
+fn long_stall_runs_match_the_stepping_reference() {
+    // Under `fixed:12:4` every word fetch stalls 3 cycles and every load
+    // 11, so most cycles sit in stall runs: I-fetch runs with a
+    // speculative store at the buffer's head, an operand run, a fault
+    // handler's busy run that a load matures inside, and, once `c0`
+    // commits three stores at once, an I-fetch run with committed
+    // stores at the head that retire one per cycle before the halt.
+    let mut pr = prog(
+        vec![
+            word(vec![
+                Slot::new(p().and_pos(c(0)), store(Src::imm(9), 0, Src::imm(6))),
+                Slot::alw(load(r(1), Src::imm(4), 0)),
+            ]),
+            word(vec![
+                Slot::new(p().and_pos(c(0)), store(Src::imm(10), 0, Src::imm(7))),
+                Slot::new(
+                    p().and_pos(c(0)),
+                    alu(r(2), Src::imm(1), AluOp::Add, Src::imm(0)),
+                ),
+            ]),
+            word(vec![Slot::alw(alu(
+                r(3),
+                Src::reg(r(1)),
+                AluOp::Add,
+                Src::imm(1),
+            ))]),
+            word(vec![Slot::alw(load(r(4), Src::imm(12), 0))]),
+            word(vec![Slot::alw(alu(
+                r(5),
+                Src::reg(r(4)),
+                AluOp::Add,
+                Src::reg(r(3)),
+            ))]),
+            word(vec![
+                Slot::new(p().and_pos(c(0)), store(Src::imm(11), 0, Src::imm(8))),
+                Slot::alw(setc(c(0), CmpOp::Eq, Src::reg(r(3)), Src::imm(42))),
+            ]),
+            word(vec![Slot::alw(SlotOp::Halt)]),
+        ],
+        vec![0],
+    );
+    pr.memory.set(4, 41);
+    pr.memory.set(12, 100);
+    let cfg = |engine| MachineConfig {
+        engine,
+        memory: crate::MemoryModel::FixedLatency { load: 12, fetch: 4 },
+        fault_once_addrs: [12].into(),
+        record_events: true,
+        ..MachineConfig::two_issue()
+    };
+    let legacy = VliwMachine::run_program(&pr, cfg(Engine::Legacy)).unwrap();
+    let tabled = VliwMachine::run_program(&pr, cfg(Engine::Tabled)).unwrap();
+    // Cycles, every stall bucket, registers, memory and the event log.
+    assert_eq!(tabled, legacy);
+    assert_eq!((legacy.regs[2], legacy.regs[5]), (1, 142));
+    assert_eq!(&legacy.memory.cells()[9..12], &[6, 7, 8]);
+    assert_eq!(legacy.cycles, 82);
+    assert!(legacy.stall_ifetch > 10 && legacy.stall_operand > 0 && legacy.stall_busy >= 50);
+    // A sink that samples keeps stepping: one sample per cycle.
+    let (res, sink) =
+        VliwMachine::run_with_sink(&pr, cfg(Engine::Tabled), crate::CountersSink::new()).unwrap();
+    assert_eq!(res.cycles, legacy.cycles);
+    let report = sink.into_report();
+    assert_eq!(report.cycles, legacy.cycles);
+    assert_eq!(report.shadow_occupancy.samples(), legacy.cycles);
+}

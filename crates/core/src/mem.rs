@@ -18,9 +18,7 @@
 //! Every issue engine funnels loads through the same two
 //! [`VliwMachine`](crate::VliwMachine) execution helpers and fetch
 //! through the same cycle-driver gate, so one [`MemorySystem`] instance
-//! per machine covers all engines uniformly — and per-lane instances in
-//! [`BatchedMachine`](crate::BatchedMachine) fall out for free because
-//! each lane owns a whole machine.
+//! per machine covers all engines uniformly.
 //!
 //! Modeling simplifications (documented, deliberate): stores retire
 //! through the store buffer and do not touch the D$ (no
@@ -360,8 +358,8 @@ enum MemKind {
     },
 }
 
-/// One machine's (or one batched lane's) memory timing state: the
-/// model, its cache contents, and the in-progress word fetch.
+/// One machine's memory timing state: the model, its cache contents,
+/// and the in-progress word fetch.
 #[derive(Clone, Debug)]
 pub struct MemorySystem {
     base_load: u64,
@@ -433,6 +431,15 @@ impl MemorySystem {
         self.fetch_pc = pc;
         self.fetch_ready_at = cycle + latency - 1;
         self.fetch_ready_at > cycle
+    }
+
+    /// The cycle at which the word whose fetch [`fetch_stalls`] last
+    /// started arrives: while the front end stalls on that word, the
+    /// first cycle it can issue.
+    ///
+    /// [`fetch_stalls`]: Self::fetch_stalls
+    pub(crate) fn fetch_ready_at(&self) -> u64 {
+        self.fetch_ready_at
     }
 
     /// Latency of a load that reaches real memory, probing the D$

@@ -229,6 +229,12 @@ impl PredicatedStoreBuffer {
         written
     }
 
+    /// Whether [`retire`](Self::retire) would do nothing: the buffer is
+    /// empty or its head is a valid speculative entry.
+    pub(crate) fn head_blocks_retire(&self) -> bool {
+        self.entries.front().is_none_or(|h| h.valid && h.spec)
+    }
+
     /// Store-to-load forwarding: the newest valid entry matching `addr`
     /// whose predicate is not disjoint with the reading load's predicate.
     /// E-flagged entries are never forwarded (they carry a fault, not data).

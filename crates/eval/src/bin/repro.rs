@@ -49,9 +49,10 @@
 //! With `--store DIR`, compiled artifacts persist into an on-disk store;
 //! a later process over the same directory fills from disk instead of
 //! recompiling (each row's `source` records which layer answered).
-//! `--store-max-bytes N` caps the store's footprint: saves beyond the
-//! cap evict the least-recently-used artifacts (hits refresh recency),
-//! counted in the report's `store.evictions`.
+//! `--store-max-bytes N` (requires `--store`) caps the store's
+//! footprint: saves beyond the cap evict the least-recently-used
+//! artifacts (hits refresh recency), counted in the report's
+//! `store.evictions`.
 //!
 //! `bench` runs the fixed throughput matrix and emits `BENCH.json`:
 //!
@@ -130,7 +131,9 @@
 //! optional: the next token is consumed only if it doesn't start with
 //! `-`, so put the subcommand before the flag.  Combined with
 //! `--deterministic`, wall-derived values are zeroed and host-only
-//! records dropped, making both files byte-identical at any `--jobs`.
+//! records dropped, making both files byte-identical at any `--jobs`;
+//! `fuzz` reads `--deterministic` only for this, so there it requires
+//! `--telemetry`.
 
 use psb_compile::{ArtifactCache, DiskStore};
 use psb_eval::{
@@ -262,12 +265,6 @@ fn main() {
                 let tel = telemetry.as_ref().map(|_| Recorder::new(deterministic));
                 let mut guests: Vec<RunTrace> = Vec::new();
                 let report = if cache_check {
-                    if !deterministic {
-                        die(
-                            "--cache-check requires --deterministic (the byte comparison \
-                             is only meaningful with host timings zeroed)",
-                        );
-                    }
                     let cc = match &tel {
                         Some(rec) => cache_effectiveness_check(&bp, rec),
                         None => cache_effectiveness_check(&bp, &NullTelemetry),

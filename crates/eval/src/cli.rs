@@ -85,6 +85,16 @@ const FLAGS: [(&str, &str); 12] = [
     ),
 ];
 
+/// Flags a subcommand reads only together with another flag:
+/// (subcommands, flag, the flag it needs).  [`Cli::parse`] rejects each
+/// alone: the first two would run as if absent, and `--cache-check`'s
+/// byte comparison is meaningful only with host timings zeroed.
+const REQUIRES: [(&str, &str, &str); 3] = [
+    ("compile serve", "--store-max-bytes", "--store"),
+    ("fuzz", "--deterministic", "--telemetry"),
+    ("bench", "--cache-check", "--deterministic"),
+];
+
 /// Checks that `what` is a subcommand and reads every one of `flags`.
 fn check_flags(what: &str, flags: &[&str]) -> Result<(), String> {
     let (_, takes) = FLAGS
@@ -98,6 +108,20 @@ fn check_flags(what: &str, flags: &[&str]) -> Result<(), String> {
         Some(flag) => Err(format!("{what} does not take {flag} (it takes {takes})")),
         None => Ok(()),
     }
+}
+
+/// Checks that each of `flags` that needs a partner in [`REQUIRES`] has
+/// it.
+fn check_partners(what: &str, flags: &[&str]) -> Result<(), String> {
+    for (subs, flag, needs) in REQUIRES {
+        if subs.split_whitespace().any(|s| s == what)
+            && flags.contains(&flag)
+            && !flags.contains(&needs)
+        {
+            return Err(format!("{flag} requires {needs}"));
+        }
+    }
+    Ok(())
 }
 
 /// Everything one `repro` invocation asked for.
@@ -344,6 +368,7 @@ impl Cli {
             i += 1;
         }
         check_flags(&cli.what, &flags)?;
+        check_partners(&cli.what, &flags)?;
         Ok(cli)
     }
 }
@@ -527,11 +552,11 @@ mod tests {
             assert!(err.contains("--memory"), "{bad}: {err}");
         }
 
-        let cli = parse(&["serve", "--store-max-bytes", "65536"]).unwrap();
+        let cli = parse(&["serve", "--store", "d", "--store-max-bytes", "65536"]).unwrap();
         assert_eq!(cli.store_max_bytes, Some(65_536));
         for bad in ["0", "-1", "big", ""] {
             assert!(
-                parse(&["serve", "--store-max-bytes", bad]).is_err(),
+                parse(&["serve", "--store", "d", "--store-max-bytes", bad]).is_err(),
                 "{bad}"
             );
         }

@@ -583,8 +583,12 @@ pub fn ablation_unroll(params: &EvalParams) -> AblationResult {
         let (art, _) = job
             .compile(cfg, &cache, None, &NullTelemetry)
             .unwrap_or_else(|e| fail(e));
-        let mut mc = MachineConfig::full_issue(8);
-        mc.store_buffer_size = 32;
+        // The rolled arm's machine (its memory model included) with a
+        // deeper store buffer for the longer unrolled regions.
+        let mc = MachineConfig {
+            store_buffer_size: 32,
+            ..wide.machine_config()
+        };
         let res = job.run(&art, mc).unwrap_or_else(|e| fail(e));
         // The baseline is still the *original* scalar program's cycles: we
         // measure what unrolling buys the 8-issue machine end to end.
@@ -600,5 +604,36 @@ pub fn ablation_unroll(params: &EvalParams) -> AblationResult {
         geomeans: (geometric_mean(&base), geometric_mean(&variant)),
         base,
         variant,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psb_core::MemoryModel;
+
+    #[test]
+    fn ablation_unroll_runs_both_arms_under_the_memory_model() {
+        let params = |memory: &str| EvalParams {
+            size: 96,
+            memory: MemoryModel::parse(memory).unwrap(),
+            ..EvalParams::default()
+        };
+        let perfect = ablation_unroll(&params("perfect"));
+        let cache = ablation_unroll(&params("cache:8x1x2x1x4:64x2x4x1x10"));
+        // I$ and D$ misses slow both arms on every benchmark.
+        for (arm, p, c) in [
+            ("base", &perfect.base, &cache.base),
+            ("variant", &perfect.variant, &cache.variant),
+        ] {
+            for (i, name) in perfect.benches.iter().enumerate() {
+                assert!(
+                    c[i] < p[i],
+                    "{name} {arm}: cache {} >= perfect {}",
+                    c[i],
+                    p[i]
+                );
+            }
+        }
     }
 }

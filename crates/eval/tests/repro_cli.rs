@@ -461,6 +461,55 @@ fn removed_engine_words_and_scan_dimension_are_usage_errors() {
 }
 
 #[test]
+fn flags_read_only_with_a_partner_are_usage_errors() {
+    // Each of these once exited 0 doing what it would without the flag
+    // (`serve` started serving with no cap).
+    for (args, msg) in [
+        (
+            &[
+                "compile",
+                "--workload",
+                "grep",
+                "--model",
+                "region-pred",
+                "--size",
+                "96",
+                "--store-max-bytes",
+                "10",
+            ][..],
+            "--store-max-bytes requires --store",
+        ),
+        (
+            &["fuzz", "--seed", "1", "--runs", "5", "--deterministic"],
+            "--deterministic requires --telemetry",
+        ),
+        (
+            &[
+                "serve",
+                "--addr",
+                "127.0.0.1:0",
+                "--store-max-bytes",
+                "65536",
+            ],
+            "--store-max-bytes requires --store",
+        ),
+        (
+            &["bench", "--quick", "--cache-check"],
+            "--cache-check requires --deterministic",
+        ),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(msg) && stderr.contains("usage:"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
 fn sweep_width_below_the_schedule_width_is_a_usage_error() {
     // Every sweep model is scheduled 4-wide, so a narrower machine
     // cannot admit the words: the grid is rejected before anything runs.
