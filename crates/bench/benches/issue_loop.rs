@@ -1,14 +1,16 @@
-//! Issue-loop engine comparison: the table-dispatched hot path against
-//! the legacy per-cycle decode path, on real scheduled programs.
+//! Engine comparison: the simulator's fast path against its reference,
+//! on real scheduled programs.
 //!
 //! Both engines execute the identical architecture (the differential
 //! suite proves byte-equal results); what this group measures is pure
-//! simulator cost — the legacy path clones the `MultiOp` and walks
-//! `SlotOp::srcs()` allocations every cycle, while the tabled path reads
-//! `Copy` slots from a dense arena, screens operand hazards with one mask
-//! intersection, and jumps through build-time-generated handler tables
-//! that fuse predicate evaluation, hazard masking and execution into one
-//! monomorphized call per slot.
+//! simulator cost.  The legacy path clones the `MultiOp` and walks
+//! `SlotOp::srcs()` allocations every cycle and runs the paper's naive
+//! commit pass over every buffered entry every cycle.  The tabled path
+//! reads `Copy` slots from a dense arena, screens operand hazards with
+//! one mask intersection, jumps through build-time-generated handler
+//! tables that fuse predicate evaluation, hazard masking and execution
+//! into one monomorphized call per slot, runs the indexed commit pass
+//! only when something is buffered, and skips inert stall runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};

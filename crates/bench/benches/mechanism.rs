@@ -96,23 +96,6 @@ fn bench_commit_scan(c: &mut Criterion) {
     g.finish();
 }
 
-/// Same comparison end to end: a whole kernel simulated under each scan
-/// strategy (identical architecture, different simulator cost).
-fn bench_machine_commit_scan(c: &mut Criterion) {
-    let art = region_pred_artifact("li");
-    let mut g = c.benchmark_group("machine_commit_scan_li");
-    for (label, scan) in [
-        ("naive", CommitScan::Naive),
-        ("indexed", CommitScan::Indexed),
-    ] {
-        let cfg = MachineConfig::default().with_commit_scan(scan);
-        g.bench_function(label, |b| {
-            b.iter(|| black_box(black_box(&art).run(cfg.clone())))
-        });
-    }
-    g.finish();
-}
-
 fn machine_throughput(c: &mut Criterion, name: &'static str) {
     let art = region_pred_artifact(name);
     c.bench_function(format!("machine_throughput_{name}"), |b| {
@@ -287,8 +270,7 @@ criterion_group! {
     name = mechanism;
     config = Criterion::default().sample_size(20);
     targets = bench_predicate_eval, bench_regfile_commit, bench_commit_scan,
-        bench_machine_commit_scan, bench_machine, bench_trace_sink_overhead,
-        bench_telemetry_pmap_overhead, bench_telemetry_cache_hit_overhead,
-        bench_compile, bench_compile_scaling
+        bench_machine, bench_trace_sink_overhead, bench_telemetry_pmap_overhead,
+        bench_telemetry_cache_hit_overhead, bench_compile, bench_compile_scaling
 }
 criterion_main!(mechanism);

@@ -22,8 +22,11 @@ pub enum ShadowMode {
 /// Both strategies are architecturally identical — they evaluate the same
 /// predicates against the same CCR and emit the same events in the same
 /// order (enforced by the `commit_scan` differential tests).  They differ
-/// only in simulator cost.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// only in simulator cost.  The machine takes its strategy from its
+/// [`Engine`] (`Legacy` runs `Naive`, `Tabled` runs `Indexed`); only a
+/// bare register file or store buffer takes one directly, through its
+/// `with_commit_scan`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CommitScan {
     /// Evaluate every buffered predicate every cycle — a direct transcription
     /// of the paper's per-entry commit hardware.  O(buffered) per cycle even
@@ -41,16 +44,17 @@ pub enum CommitScan {
     /// condition.  Both emit the naive scan's events in its order.
     ///
     /// [`RegSet`]: psb_isa::RegSet
-    #[default]
     Indexed,
 }
 
-/// Which issue-path implementation drives the machine.
+/// Which simulator implementation drives the machine: the one
+/// simulator-only switch.
 ///
 /// Both engines execute the same architecture and are held observably
 /// identical by the engine-differential proptests and the fuzz harness.
 /// They differ only in simulator cost: `Tabled` is the fast path and
-/// `Legacy` the independent reference it is checked against.
+/// `Legacy` the independent reference it is checked against.  The engine
+/// also picks the commit pass ([`CommitScan`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
     /// Drive the issue loop from build-time-generated dispatch tables:
@@ -59,13 +63,15 @@ pub enum Engine {
     /// call) and every word to a specialisation class whose issue path
     /// skips the store/control prepasses that cannot apply.  The issue
     /// buffer is recycled across cycles, so steady-state issue is both
-    /// match-free and allocation-free.
+    /// match-free and allocation-free.  The commit pass is indexed, and
+    /// the cycle driver skips inert commit passes and stall runs.
     #[default]
     Tabled,
     /// The original issue loop: clone the current `MultiOp` each cycle
-    /// and materialise per-slot source lists on demand.  It reads the
-    /// program itself, never the decoded arena, so it is kept as the
-    /// differential oracle for the tabled engine.
+    /// and materialise per-slot source lists on demand, with the paper's
+    /// literal commit pass ([`CommitScan::Naive`]) run every cycle.  It
+    /// reads the program itself, never the decoded arena, so it is kept
+    /// as the differential oracle for the tabled engine.
     Legacy,
 }
 
@@ -104,9 +110,8 @@ pub struct MachineConfig {
     pub max_cycles: u64,
     /// Record the per-cycle event log (Table 1 reproduction / debugging).
     pub record_events: bool,
-    /// Commit-pass strategy (simulator-only knob; no architectural effect).
-    pub commit_scan: CommitScan,
-    /// Issue-path engine (simulator-only knob; no architectural effect).
+    /// Simulator engine, the only simulator-only field (no architectural
+    /// effect); it also selects the commit pass.
     pub engine: Engine,
     /// **Test-only fault injection**: defer the recovery-exit commit pass to
     /// the next cycle's regular pass instead of running it before the EPC
@@ -134,7 +139,6 @@ impl Default for MachineConfig {
             fault_penalty: 50,
             max_cycles: 200_000_000,
             record_events: false,
-            commit_scan: CommitScan::Indexed,
             engine: Engine::default(),
             defer_recovery_exit_commit: false,
         }
@@ -145,12 +149,6 @@ impl MachineConfig {
     /// The paper's base 4-issue machine with event recording enabled.
     pub fn with_events(mut self) -> MachineConfig {
         self.record_events = true;
-        self
-    }
-
-    /// Selects the commit-pass strategy.
-    pub fn with_commit_scan(mut self, scan: CommitScan) -> MachineConfig {
-        self.commit_scan = scan;
         self
     }
 

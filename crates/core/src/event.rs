@@ -4,10 +4,6 @@
 use psb_isa::{Cond, CondReg, Predicate, Reg};
 use std::fmt;
 
-mod audit;
-
-pub use audit::{audit_events, AuditViolation};
-
 /// A buffered-state location: a register's shadow entry or a store-buffer
 /// entry (numbered in append order within the run).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -113,8 +109,10 @@ pub enum Event {
     /// in-flight result (Section 3.4: the exception travels with the value
     /// until it reaches a shadow register or store-buffer entry).  A
     /// recovery can trigger on this latched exception before the result
-    /// ever reaches buffered state, so the audit accepts it as exception
-    /// evidence alongside E-flagged [`Event::SpecWrite`]s.
+    /// ever reaches buffered state, so [`InvariantSink`] accepts it as
+    /// exception evidence alongside E-flagged [`Event::SpecWrite`]s.
+    ///
+    /// [`InvariantSink`]: crate::InvariantSink
     ExcLatched {
         /// Cycle the access faulted.
         cycle: u64,

@@ -1,24 +1,25 @@
 //! Online invariant checking over the machine event stream.
 //!
 //! [`InvariantSink`] is a [`TraceSink`] that replays the buffering
-//! discipline of Sections 3.2–3.5 *while the machine runs*, instead of
-//! auditing a recorded log afterwards (`audit_events`).  It mirrors the
-//! CCR from [`Event::CondSet`] / [`Event::RegionEnter`] records and keeps
-//! a model of every outstanding buffered entry, which lets it catch
+//! discipline of Sections 3.2–3.5 *while the machine runs*.  It mirrors
+//! the CCR from [`Event::CondSet`] / [`Event::RegionEnter`] records and
+//! keeps a model of every outstanding buffered entry, which lets it catch
 //! violations the end-state differential cannot see:
 //!
 //! * **V/W discipline** — every commit or squash must resolve an entry
 //!   that was actually buffered, a commit must resolve an entry whose
 //!   predicate is true, and (single-shadow mode) no second speculative
 //!   write with a different predicate may land on a buffered register.
+//! * **Region closure** — nothing buffered may survive a region entry or
+//!   the end of the run (Section 3.3).
 //! * **No lost latched exception** — an E-flagged entry whose predicate
 //!   becomes true at a condition-set must have triggered recovery; the
 //!   machine setting the condition instead means the exception was lost.
 //!   An E-flagged entry must never commit.
 //! * **Recovery discipline** — recovery must start with a buffered or
-//!   latched exception as evidence, no condition may be specified while
-//!   it runs, and every window must end (reaching the EPC) before the
-//!   run completes.
+//!   latched exception as evidence, no condition may be specified and no
+//!   region entered while it runs, and every window must end (reaching
+//!   the EPC) before the run completes.
 //! * **No stale shadows past a recovery exit** — when the future
 //!   condition is installed at the EPC, every entry rebuffered during
 //!   recovery whose predicate the future specifies must resolve *in that
@@ -27,8 +28,10 @@
 //!   stale shadow that clobbers the word's sequential writes one cycle
 //!   later (the seed-suite bug pinned by `recovery_scenarios.rs`).
 //!
-//! The sink is used by the `psb-fuzz` differential driver, which runs it
-//! alongside the golden-model comparison on every generated program.
+//! It is the one event-stream checker: the `psb-fuzz` differential
+//! driver runs it alongside the golden-model comparison on every
+//! generated program, and the workload and recovery-scenario tests attach
+//! it to real runs.
 
 use crate::event::{Event, StateLoc};
 use crate::obs::{CycleSample, TraceSink};
@@ -80,7 +83,12 @@ pub struct InvariantSink {
     ccr: Ccr,
     single_shadow: bool,
     outstanding: BTreeMap<(u8, u64), Vec<Tracked>>,
-    exc_latched: bool,
+    /// `ExcLatched` events not yet matched by an E-flagged `SpecWrite`
+    /// since the last region entry or recovery start: at least the
+    /// number of latched results still in flight (a discarded one is
+    /// never matched), so recovery evidence that has landed and been
+    /// squashed no longer counts.
+    exc_latched: usize,
     in_recovery: bool,
     /// Between `RecoveryEnd` and the first subsequent `CondSet` the mirror
     /// CCR is stale (the machine installed the future condition, whose
@@ -100,7 +108,7 @@ impl InvariantSink {
             ccr: Ccr::new(num_conds),
             single_shadow,
             outstanding: BTreeMap::new(),
-            exc_latched: false,
+            exc_latched: 0,
             in_recovery: false,
             awaiting_future_conds: false,
             violations: Vec::new(),
@@ -137,6 +145,10 @@ impl InvariantSink {
     }
 
     fn on_spec_write(&mut self, cycle: u64, loc: StateLoc, pred: Predicate, exc: bool) {
+        if exc {
+            // A latched result landed; the map tracks it from here.
+            self.exc_latched = self.exc_latched.saturating_sub(1);
+        }
         let born_in_recovery = self.in_recovery;
         let single_shadow = self.single_shadow;
         let entries = self.outstanding.entry(key(loc)).or_default();
@@ -309,8 +321,12 @@ impl InvariantSink {
             Event::Squash { cycle, loc } => self.on_squash(cycle, loc),
             Event::CondSet { cycle, c, value } => self.on_cond_set(cycle, c, value),
             Event::RegionEnter { cycle, .. } => {
+                if self.in_recovery {
+                    self.flag(cycle, "region entered inside an unfinished recovery".into());
+                    self.in_recovery = false;
+                }
                 self.ccr.reset();
-                self.exc_latched = false;
+                self.exc_latched = 0;
                 let leftover: usize = self.outstanding.values().map(Vec::len).sum();
                 if leftover > 0 {
                     self.flag(
@@ -320,13 +336,13 @@ impl InvariantSink {
                     self.outstanding.clear();
                 }
             }
-            Event::ExcLatched { .. } => self.exc_latched = true,
+            Event::ExcLatched { .. } => self.exc_latched += 1,
             Event::RecoveryStart { cycle, .. } => {
                 if self.in_recovery {
                     self.flag(cycle, "recovery started inside a recovery window".into());
                 }
                 let evidence =
-                    self.exc_latched || self.outstanding.values().flatten().any(|t| t.exc);
+                    self.exc_latched > 0 || self.outstanding.values().flatten().any(|t| t.exc);
                 if !evidence {
                     self.flag(
                         cycle,
@@ -334,7 +350,7 @@ impl InvariantSink {
                     );
                 }
                 self.in_recovery = true;
-                self.exc_latched = false;
+                self.exc_latched = 0;
             }
             Event::RecoveryEnd { cycle } => {
                 if !self.in_recovery {
@@ -368,60 +384,91 @@ mod tests {
     use super::*;
     use psb_isa::{CondReg, Reg};
 
-    fn pred(c: usize) -> Predicate {
-        Predicate::always().and_pos(CondReg::new(c))
-    }
-
     fn reg(i: usize) -> StateLoc {
         StateLoc::Reg(Reg::new(i))
     }
 
+    /// A speculative write to `loc` under `c<c>`.
+    fn spec(cycle: u64, loc: StateLoc, c: usize, exc: bool) -> Event {
+        let pred = Predicate::always().and_pos(CondReg::new(c));
+        Event::SpecWrite {
+            cycle,
+            loc,
+            pred,
+            exc,
+        }
+    }
+
+    fn commit(cycle: u64, loc: StateLoc) -> Event {
+        Event::Commit { cycle, loc }
+    }
+
+    fn squash(cycle: u64, loc: StateLoc) -> Event {
+        Event::Squash { cycle, loc }
+    }
+
+    fn set_c0(cycle: u64) -> Event {
+        let (c, value) = (CondReg::new(0), Cond::True);
+        Event::CondSet { cycle, c, value }
+    }
+
+    fn recovery_start(cycle: u64) -> Event {
+        let (epc, rpc) = (2, 0);
+        Event::RecoveryStart { cycle, epc, rpc }
+    }
+
+    fn latched(cycle: u64) -> Event {
+        Event::ExcLatched { cycle, addr: 4 }
+    }
+
+    /// A single-shadow sink that has recorded `events`.
+    fn fed(events: impl IntoIterator<Item = Event>) -> InvariantSink {
+        let mut s = InvariantSink::new(4, true);
+        for ev in events {
+            s.record(ev);
+        }
+        s
+    }
+
+    fn flagged(v: &[InvariantViolation], text: &str) -> bool {
+        v.iter().any(|v| v.message.contains(text))
+    }
+
     #[test]
     fn clean_commit_sequence_passes() {
-        let mut s = InvariantSink::new(4, true);
-        s.record(Event::SpecWrite {
-            cycle: 1,
-            loc: reg(1),
-            pred: pred(0),
-            exc: false,
-        });
-        s.record(Event::CondSet {
-            cycle: 2,
-            c: CondReg::new(0),
-            value: Cond::True,
-        });
-        s.record(Event::Commit {
-            cycle: 3,
-            loc: reg(1),
-        });
+        let mut s = fed([spec(1, reg(1), 0, false), set_c0(2), commit(3, reg(1))]);
         assert!(s.finalize().is_empty(), "{:?}", s.violations());
     }
 
     #[test]
     fn commit_without_write_is_flagged() {
-        let mut s = InvariantSink::new(4, true);
-        s.record(Event::Commit {
-            cycle: 3,
-            loc: reg(1),
-        });
-        assert!(s.violations()[0].message.contains("nothing buffered"));
+        for ev in [commit(3, reg(1)), squash(3, StateLoc::Sb(1))] {
+            assert!(fed([ev]).violations()[0]
+                .message
+                .contains("nothing buffered"));
+        }
+    }
+
+    #[test]
+    fn leak_across_a_region_boundary_is_flagged() {
+        let region = Event::RegionEnter { cycle: 2, addr: 4 };
+        let mut s = fed([spec(1, reg(1), 0, false), region]);
+        assert_eq!(s.violations()[0].cycle, 2);
+        assert!(flagged(s.violations(), "leaked across a region"));
+        // The leak is reported once, not again at the end of the run.
+        assert_eq!(s.finalize().len(), 1);
+    }
+
+    #[test]
+    fn leak_at_end_of_run_is_flagged_at_finalize() {
+        let mut s = fed([spec(1, StateLoc::Sb(1), 0, false)]);
+        assert!(s.violations().is_empty());
+        assert!(flagged(s.finalize(), "1 buffered entries unresolved"));
     }
 
     #[test]
     fn conflicting_single_shadow_write_is_flagged() {
-        let mut s = InvariantSink::new(4, true);
-        s.record(Event::SpecWrite {
-            cycle: 1,
-            loc: reg(1),
-            pred: pred(0),
-            exc: false,
-        });
-        s.record(Event::SpecWrite {
-            cycle: 1,
-            loc: reg(1),
-            pred: pred(1),
-            exc: false,
-        });
+        let s = fed([spec(1, reg(1), 0, false), spec(1, reg(1), 1, false)]);
         assert!(s.violations()[0]
             .message
             .contains("second speculative write"));
@@ -429,61 +476,25 @@ mod tests {
 
     #[test]
     fn lost_latched_exception_is_flagged() {
-        let mut s = InvariantSink::new(4, true);
-        s.record(Event::SpecWrite {
-            cycle: 1,
-            loc: reg(1),
-            pred: pred(0),
-            exc: true,
-        });
         // The machine sets c0 true without entering recovery: lost.
-        s.record(Event::CondSet {
-            cycle: 2,
-            c: CondReg::new(0),
-            value: Cond::True,
-        });
-        assert!(s
-            .violations()
-            .iter()
-            .any(|v| v.message.contains("no recovery started")));
+        let s = fed([spec(1, reg(1), 0, true), set_c0(2)]);
+        assert!(flagged(s.violations(), "no recovery started"));
     }
 
     #[test]
     fn stale_shadow_after_recovery_exit_is_flagged() {
-        let mut s = InvariantSink::new(4, true);
-        s.record(Event::SpecWrite {
-            cycle: 1,
-            loc: reg(1),
-            pred: pred(0),
-            exc: true,
-        });
-        s.record(Event::RecoveryStart {
-            cycle: 2,
-            epc: 2,
-            rpc: 0,
-        });
-        s.record(Event::Squash {
-            cycle: 2,
-            loc: reg(1),
-        });
-        // Rebuffered during recovery under the recovery condition.
-        s.record(Event::SpecWrite {
-            cycle: 3,
-            loc: reg(1),
-            pred: pred(0),
-            exc: false,
-        });
-        s.record(Event::RecoveryEnd { cycle: 4 });
-        // No exit-pass commit for r1 before the EPC word re-emits c0.
-        s.record(Event::CondSet {
-            cycle: 4,
-            c: CondReg::new(0),
-            value: Cond::True,
-        });
+        let s = fed([
+            spec(1, reg(1), 0, true),
+            recovery_start(2),
+            squash(2, reg(1)),
+            // Rebuffered during recovery under the recovery condition.
+            spec(3, reg(1), 0, false),
+            Event::RecoveryEnd { cycle: 4 },
+            // No exit-pass commit for r1 before the EPC word re-emits c0.
+            set_c0(4),
+        ]);
         assert!(
-            s.violations()
-                .iter()
-                .any(|v| v.message.contains("stale shadow")),
+            flagged(s.violations(), "stale shadow"),
             "{:?}",
             s.violations()
         );
@@ -491,65 +502,43 @@ mod tests {
 
     #[test]
     fn resolved_recovery_exit_passes() {
-        let mut s = InvariantSink::new(4, true);
-        s.record(Event::SpecWrite {
-            cycle: 1,
-            loc: reg(1),
-            pred: pred(0),
-            exc: true,
-        });
-        s.record(Event::RecoveryStart {
-            cycle: 2,
-            epc: 2,
-            rpc: 0,
-        });
-        s.record(Event::Squash {
-            cycle: 2,
-            loc: reg(1),
-        });
-        s.record(Event::SpecWrite {
-            cycle: 3,
-            loc: reg(1),
-            pred: pred(0),
-            exc: false,
-        });
-        s.record(Event::RecoveryEnd { cycle: 4 });
-        // The exit pass resolves the rebuffered entry in the same cycle.
-        s.record(Event::Commit {
-            cycle: 4,
-            loc: reg(1),
-        });
-        s.record(Event::CondSet {
-            cycle: 4,
-            c: CondReg::new(0),
-            value: Cond::True,
-        });
+        let mut s = fed([
+            spec(1, reg(1), 0, true),
+            recovery_start(2),
+            squash(2, reg(1)),
+            spec(3, reg(1), 0, false),
+            Event::RecoveryEnd { cycle: 4 },
+            // The exit pass resolves the rebuffered entry in the same cycle.
+            commit(4, reg(1)),
+            set_c0(4),
+        ]);
         assert!(s.finalize().is_empty(), "{:?}", s.violations());
     }
 
     #[test]
     fn unfinished_recovery_is_flagged_at_finalize() {
-        let mut s = InvariantSink::new(4, true);
-        s.record(Event::ExcLatched { cycle: 1, addr: 4 });
-        s.record(Event::RecoveryStart {
-            cycle: 2,
-            epc: 2,
-            rpc: 0,
-        });
-        assert!(s
-            .finalize()
-            .iter()
-            .any(|v| v.message.contains("never reached the EPC")));
+        let mut s = fed([latched(1), recovery_start(2)]);
+        assert!(flagged(s.finalize(), "never reached the EPC"));
+    }
+
+    #[test]
+    fn region_entry_inside_recovery_is_flagged() {
+        let region = Event::RegionEnter { cycle: 3, addr: 4 };
+        let mut s = fed([latched(1), recovery_start(2), region]);
+        let v = s.finalize();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].cycle, 3);
+        assert!(flagged(v, "inside an unfinished recovery"));
     }
 
     #[test]
     fn recovery_without_evidence_is_flagged() {
-        let mut s = InvariantSink::new(4, true);
-        s.record(Event::RecoveryStart {
-            cycle: 2,
-            epc: 2,
-            rpc: 0,
-        });
-        assert!(s.violations()[0].message.contains("without a buffered"));
+        // A latched exception that landed and was squashed is no
+        // evidence either.
+        let landed = [latched(1), spec(2, reg(1), 0, true), squash(3, reg(1))];
+        for events in [vec![], landed.to_vec()] {
+            let s = fed(events.into_iter().chain([recovery_start(4)]));
+            assert!(s.violations()[0].message.contains("without a buffered"));
+        }
     }
 }

@@ -70,7 +70,7 @@ mod storebuf;
 pub use batch::{BatchReport, LaneOutcome};
 pub use config::{CommitScan, Engine, MachineConfig, ShadowMode};
 pub use decoded::{DecodedProgram, DecodedSlot, DecodedWord};
-pub use event::{audit_events, AuditViolation, Event, EventLog, StateLoc};
+pub use event::{Event, EventLog, StateLoc};
 pub use invariant::{InvariantSink, InvariantViolation};
 pub use machine::{RunStats, VliwError, VliwMachine, VliwResult};
 pub use mem::{CacheConfig, CacheModel, CacheProbe, MemCounters, MemoryModel, MemorySystem};

@@ -23,7 +23,7 @@
 //!    invalidated, and the machine rolls back to the RPC in recovery mode;
 //!    otherwise the candidate becomes the CCR and control advances.
 
-use crate::config::{Engine, MachineConfig};
+use crate::config::{CommitScan, Engine, MachineConfig};
 use crate::decoded::{DecodedProgram, DecodedSlot};
 use crate::dispatch;
 use crate::event::{Event, EventLog, StateLoc};
@@ -420,15 +420,19 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         cfg: MachineConfig,
         sink: S,
     ) -> VliwMachine<'p, S> {
-        let mut regs =
-            PredicatedRegFile::new(NUM_REGS, cfg.shadow_mode).with_commit_scan(cfg.commit_scan);
+        // The reference engine runs the paper's literal commit pass.
+        let scan = match cfg.engine {
+            Engine::Legacy => CommitScan::Naive,
+            Engine::Tabled => CommitScan::Indexed,
+        };
+        let mut regs = PredicatedRegFile::new(NUM_REGS, cfg.shadow_mode).with_commit_scan(scan);
         for &(r, v) in &prog.init_regs {
             regs.init(r, v);
         }
         VliwMachine {
             decoded,
             regs,
-            sb: PredicatedStoreBuffer::new(cfg.store_buffer_size).with_commit_scan(cfg.commit_scan),
+            sb: PredicatedStoreBuffer::new(cfg.store_buffer_size).with_commit_scan(scan),
             memory: Memory::from_image(&prog.memory),
             ccr: Ccr::new(prog.num_conds),
             pc: 0,
@@ -1666,9 +1670,8 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         // store buffer commits nothing, squashes nothing and emits no
         // events, so skipping it is observation-free (the engine
         // differential holds the logs byte-equal).  The legacy engine
-        // keeps the paper's literal always-on pass, exactly as
-        // [`CommitScan::Naive`] stays the reference strategy for the
-        // indexed scan.
+        // keeps the paper's literal always-on pass, and runs it naively
+        // ([`CommitScan::Naive`]).
         let tabled = matches!(self.cfg.engine, Engine::Tabled);
         {
             if self.cycle > self.cfg.max_cycles {

@@ -9,12 +9,12 @@
 //! # Commit-pass strategies
 //!
 //! The paper's hardware re-evaluates every buffered predicate every cycle
-//! ([`CommitScan::Naive`]).  The simulator's default
-//! ([`CommitScan::Indexed`]) keeps a *wakeup list* per CCR slot — a
-//! [`RegSet`] of the registers holding a buffered entry whose predicate
-//! mentions that condition — and re-evaluates only registers subscribed to
-//! a condition that changed since the previous pass, plus registers written
-//! since then.  A buffered predicate's evaluation can only change when one
+//! ([`CommitScan::Naive`], the legacy engine's pass).  The tabled
+//! engine's pass ([`CommitScan::Indexed`]) keeps a *wakeup list* per CCR
+//! slot — a [`RegSet`] of the registers holding a buffered entry whose
+//! predicate mentions that condition — and re-evaluates only registers
+//! subscribed to a condition that changed since the previous pass, plus
+//! registers written since then.  A buffered predicate's evaluation can only change when one
 //! of its conditions changes, so the two strategies resolve the same
 //! entries on the same cycles and emit byte-identical event logs.  The
 //! file has at most 64 registers, so every list is one machine word and

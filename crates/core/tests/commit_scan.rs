@@ -5,13 +5,14 @@
 //! [`CommitScan::Indexed`] is the O(active) wakeup-list implementation.
 //! These tests drive both through identical stimuli — random operation
 //! sequences at the component level, random validated programs at the
-//! machine level — and require byte-identical event streams and final
+//! machine level, where each [`Engine`] picks its strategy (legacy naive,
+//! tabled indexed) — and require byte-identical event streams and final
 //! architectural state.
 
 use proptest::prelude::*;
 use psb_core::{
-    CommitScan, EventLog, MachineConfig, PredicatedRegFile, PredicatedStoreBuffer, ShadowMode,
-    VliwMachine,
+    CommitScan, Engine, EventLog, MachineConfig, PredicatedRegFile, PredicatedStoreBuffer,
+    ShadowMode, VliwMachine,
 };
 use psb_isa::{
     AluOp, Ccr, CmpOp, CondReg, MemImage, MemTag, Memory, MultiOp, Op, PredTerm, Predicate, Reg,
@@ -226,7 +227,8 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Machine-level differential: whole random programs, including faults and
-// recovery, must produce identical `VliwResult`s under both strategies.
+// recovery, must produce identical `VliwResult`s under both engines, and
+// so under both strategies.
 // ---------------------------------------------------------------------------
 
 fn src_strategy() -> impl Strategy<Value = Src> {
@@ -318,7 +320,8 @@ proptest! {
 
     /// End-to-end oracle: any validated program — including ones that
     /// fault, recover, and take structured errors — runs identically under
-    /// both scan strategies, event log included.
+    /// the legacy engine's naive scan and the tabled engine's indexed
+    /// one, event log included.
     #[test]
     fn machine_indexed_matches_naive(
         (prog, fault_page) in program_strategy(),
@@ -332,8 +335,8 @@ proptest! {
             cfg.fault_once_addrs.insert(p);
             cfg.fault_penalty = 3;
         }
-        let naive = VliwMachine::run_program(&prog, cfg.clone().with_commit_scan(CommitScan::Naive));
-        let indexed = VliwMachine::run_program(&prog, cfg.with_commit_scan(CommitScan::Indexed));
+        let run = |engine| VliwMachine::run_program(&prog, MachineConfig { engine, ..cfg.clone() });
+        let (naive, indexed) = (run(Engine::Legacy), run(Engine::Tabled));
         match (naive, indexed) {
             (Ok(n), Ok(i)) => prop_assert_eq!(n, i),
             (Err(n), Err(i)) => prop_assert_eq!(format!("{n:?}"), format!("{i:?}")),

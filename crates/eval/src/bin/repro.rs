@@ -95,7 +95,7 @@
 //! `icache`/`dcache` values are cache specs or `off` (both off = the
 //! perfect-memory timing).  Numeric dimensions also accept ranges:
 //! `sb=1..64:pow2` walks powers of two, `latency=1..8` walks every
-//! value.  Every run uses the tabled engine and the default indexed
+//! value.  Every run uses the tabled engine, and with it the indexed
 //! commit scan; the cache axes are the `icache`/`dcache` dimensions, not
 //! `--memory`.  The JSON
 //! report (`psb-sweep-v3`) holds simulated counters only, so it is

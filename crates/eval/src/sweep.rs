@@ -27,7 +27,7 @@ use psb_telemetry::NullTelemetry;
 /// Version string stamped into the sweep report; a mismatch against the
 /// baseline is a hard check failure.
 /// v2: the commit-scan dimension is gone from the grid and the point
-/// key (every run uses the default indexed scan, which is
+/// key (every run uses the tabled engine's indexed scan, which is
 /// architecturally identical to the naive reference).
 /// v3: every point runs once, solo; the grid echo loses `batch_width`,
 /// and the per-artifact rows and every host field are gone.

@@ -15,18 +15,23 @@
 //! The tabled engine also skips inert stall runs in one step where the
 //! legacy engine steps each cycle, so the same equality checks that
 //! every skipped cycle lands in the stall bucket the reference charges.
+//! And each engine picks its own commit pass, the tabled one indexed and
+//! the legacy one the paper's naive scan, so the fast path's wakeup
+//! lists are checked against a reference that keeps none.
 
 use proptest::prelude::*;
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};
-use psb_core::{CommitScan, Engine, MachineConfig, MemoryModel, ShadowMode, VliwResult};
+use psb_core::{Engine, MachineConfig, MemoryModel, ShadowMode, VliwResult};
 use psb_fuzz::{gen_case, memory_rotation};
 use psb_scalar::{ScalarConfig, ScalarMachine};
 use psb_sched::{Model, SchedConfig};
 use std::collections::BTreeSet;
 
 /// A small machine grid derived from the seed: shallow store-buffer
-/// depths, with the commit scan, load latency and memory model varied
-/// across points, and event recording on everywhere.
+/// depths, with the load latency and memory model varied across points,
+/// and event recording on everywhere.  The engine picks the commit pass,
+/// so every point compares legacy with its naive scan against tabled
+/// with its indexed scan.
 ///
 /// A shallow store buffer can livelock a model that keeps more
 /// speculative stores in flight than the buffer holds (they drain only
@@ -52,11 +57,6 @@ fn grid(seed: u64, single_shadow: bool, fault_once: &BTreeSet<i64>) -> Vec<Machi
                 fault_once_addrs: fault_once.clone(),
                 record_events: true,
                 store_buffer_size: sb,
-                commit_scan: if (i + j) % 2 == 0 {
-                    CommitScan::Indexed
-                } else {
-                    CommitScan::Naive
-                },
                 load_latency: 1 + (seed + i + j) % 3,
                 memory: memory_rotation(seed + i + j),
                 max_cycles: 100_000,
@@ -85,13 +85,6 @@ fn run_engine(
         record_events: true,
         engine,
         memory,
-        // The legacy arm runs the paper's literal commit pass, so the
-        // fast path's wakeup lists are checked against a reference that
-        // keeps none.
-        commit_scan: match engine {
-            Engine::Legacy => CommitScan::Naive,
-            Engine::Tabled => CommitScan::Indexed,
-        },
         ..MachineConfig::default()
     };
     art.run(cfg).expect("engine run succeeds")
@@ -146,9 +139,8 @@ proptest! {
                 prop_assert_eq!(
                     run(Engine::Legacy),
                     run(Engine::Tabled),
-                    "legacy/tabled divergence on seed {} model {} sb {} {:?} load {} memory {}",
-                    seed, model, cfg.store_buffer_size, cfg.commit_scan, cfg.load_latency,
-                    cfg.memory
+                    "legacy/tabled divergence on seed {} model {} sb {} load {} memory {}",
+                    seed, model, cfg.store_buffer_size, cfg.load_latency, cfg.memory
                 );
             }
         }

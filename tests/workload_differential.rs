@@ -3,8 +3,10 @@
 //! with separate training and evaluation inputs, on several machine
 //! shapes.
 
-use psb::compile::{compile_fresh, CompileRequest, ProfileSource};
-use psb::core::{MachineConfig, ShadowMode};
+use psb::compile::{
+    compile_fresh, ArtifactCache, CompileRequest, NullTelemetry, PointJob, ProfileSource,
+};
+use psb::core::{InvariantSink, InvariantViolation, MachineConfig, ShadowMode, VliwResult};
 use psb::isa::Resources;
 use psb::scalar::{ScalarConfig, ScalarMachine};
 use psb::sched::{Model, SchedConfig};
@@ -246,55 +248,77 @@ fn unrolled_workloads_match_golden_model() {
     }
 }
 
-/// Event logs of full workload runs audit clean: every speculative write
-/// resolves exactly once, nothing leaks across regions, and recovery
-/// narratives are well-formed.
+/// Runs `model`'s schedule of `job`'s program under `cfg` with an
+/// [`InvariantSink`] attached, through the point pipeline (the schedule
+/// picks the shadow mode), and returns the result with the sink's
+/// violations.
+fn run_with_invariants(
+    job: &PointJob,
+    model: Model,
+    cfg: MachineConfig,
+) -> (VliwResult, Vec<InvariantViolation>) {
+    let (art, _) = job
+        .compile(
+            SchedConfig::new(model),
+            &ArtifactCache::new(),
+            None,
+            &NullTelemetry,
+        )
+        .unwrap_or_else(|e| panic!("{model}: {e}"));
+    let sink = InvariantSink::new(art.program.num_conds, art.sched().single_shadow);
+    let (res, mut sink) = job
+        .run_with_sink(&art, cfg, sink)
+        .unwrap_or_else(|e| panic!("{model}: {e}"));
+    let violations = sink.finalize().to_vec();
+    (res, violations)
+}
+
+/// Full workload runs under every model pass the online invariant
+/// checker: every speculative write resolves exactly once, nothing leaks
+/// across regions, recovery narratives are well-formed, and each run
+/// matches the golden model.
 #[test]
 fn event_logs_audit_clean() {
     for w in all_workloads_sized(EVAL_SEED, 128) {
-        let profile = ScalarMachine::new(&w.program, ScalarConfig::default())
-            .run()
-            .unwrap()
-            .edge_profile;
-        let art = compile_fresh(&CompileRequest {
-            program: &w.program,
-            profile: ProfileSource::Provided(&profile),
-            sched: SchedConfig::new(Model::RegionPred),
-        })
-        .unwrap();
-        let res = art.run(MachineConfig::default().with_events()).unwrap();
-        let violations = psb::core::audit_events(&res.events);
-        assert!(
-            violations.is_empty(),
-            "{}: {:?}",
-            w.name,
-            violations.first()
-        );
+        let job = PointJob::new(&w.program, None, ScalarConfig::default()).unwrap();
+        for model in Model::ALL {
+            let (res, violations) = run_with_invariants(&job, model, MachineConfig::default());
+            assert!(
+                violations.is_empty(),
+                "{}/{model}: {:?}",
+                w.name,
+                violations.first()
+            );
+            job.check(&res)
+                .unwrap_or_else(|e| panic!("{}/{model}: {e}", w.name));
+        }
     }
 }
 
-/// A recovery-bearing run also audits clean.
+/// A recovery-bearing run also checks clean, and the same run with the
+/// recovery-exit commit deferred (the stale-shadow bug) is flagged.
 #[test]
 fn recovery_event_logs_audit_clean() {
     let w = by_name("compress", EVAL_SEED, SIZE).unwrap();
-    let faults: std::collections::BTreeSet<i64> = (16..200).step_by(5).collect();
-    let profile = ScalarMachine::new(&w.program, ScalarConfig::default())
-        .run()
-        .unwrap()
-        .edge_profile;
-    let art = compile_fresh(&CompileRequest {
-        program: &w.program,
-        profile: ProfileSource::Provided(&profile),
-        sched: SchedConfig::new(Model::RegionPred),
-    })
-    .unwrap();
-    let mc = MachineConfig {
-        fault_once_addrs: faults,
-        record_events: true,
+    let faults = ScalarConfig {
+        fault_once_addrs: (16..200).step_by(5).collect(),
+        ..ScalarConfig::default()
+    };
+    let job = PointJob::new(&w.program, None, faults).unwrap();
+    let (res, violations) = run_with_invariants(&job, Model::RegionPred, MachineConfig::default());
+    assert!(res.recoveries > 0, "the fault set must exercise recovery");
+    assert!(violations.is_empty(), "{:?}", violations.first());
+    job.check(&res).unwrap();
+
+    let deferred = MachineConfig {
+        defer_recovery_exit_commit: true,
         ..MachineConfig::default()
     };
-    let res = art.run(mc).unwrap();
-    assert!(res.recoveries > 0, "the fault set must exercise recovery");
-    let violations = psb::core::audit_events(&res.events);
-    assert!(violations.is_empty(), "{:?}", violations.first());
+    let (_, violations) = run_with_invariants(&job, Model::RegionPred, deferred);
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.message.contains("stale shadow")),
+        "{violations:?}"
+    );
 }
