@@ -7,10 +7,11 @@
 //! `SlotOp::srcs()` allocations every cycle and runs the paper's naive
 //! commit pass over every buffered entry every cycle.  The tabled path
 //! reads `Copy` slots from a dense arena, screens operand hazards with
-//! one mask intersection, jumps through build-time-generated handler
-//! tables that fuse predicate evaluation, hazard masking and execution
-//! into one monomorphized call per slot, runs the indexed commit pass
-//! only when something is buffered, and skips inert stall runs.
+//! one mask intersection, issues through an issue path specialised to
+//! the word's class (no store or control prepass where the word has
+//! none, no predicate evaluation in all-`alw` words), runs the indexed
+//! commit pass only when something is buffered, and skips inert stall
+//! runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};

@@ -17,8 +17,8 @@
 //! [`ProfileSource::Provided`]); [`Stage::Schedule`] invokes the
 //! model-specific VLIW scheduler; [`Stage::Decode`] lowers the schedule
 //! into the decoded arena the machine's tabled issue path reads —
-//! including the generated-dispatch indices (per-slot handler numbers and
-//! per-word issue classes) that drive the table-dispatched engine.  The
+//! including the per-word issue classes that pick each word's
+//! specialised issue path.  The
 //! product is an immutable [`CompiledArtifact`] carrying everything a
 //! consumer needs to *run* the program — including the decoded arena, so
 //! machine construction no longer re-lowers per run — plus per-stage

@@ -57,14 +57,15 @@ pub enum CommitScan {
 /// also picks the commit pass ([`CommitScan`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
-    /// Drive the issue loop from build-time-generated dispatch tables:
-    /// decode lowers every slot to a dense handler index (predicate
-    /// evaluation, hazard masking and execution fused into one handler
-    /// call) and every word to a specialisation class whose issue path
-    /// skips the store/control prepasses that cannot apply.  The issue
-    /// buffer is recycled across cycles, so steady-state issue is both
-    /// match-free and allocation-free.  The commit pass is indexed, and
-    /// the cycle driver skips inert commit passes and stall runs.
+    /// Drive the issue loop from the decoded arena: decode stamps every
+    /// word with a specialisation class, and the class picks an issue
+    /// path that screens operand hazards with one mask intersection and
+    /// skips the store/control prepasses and predicate evaluation that
+    /// cannot apply.  Live slots run through the same slot match as the
+    /// legacy engine.  The issue buffer is recycled across cycles, so
+    /// steady-state issue is allocation-free.  The commit pass is
+    /// indexed, and the cycle driver skips inert commit passes and stall
+    /// runs.
     #[default]
     Tabled,
     /// The original issue loop: clone the current `MultiOp` each cycle

@@ -11,18 +11,28 @@
 //! allocation-free and hazard screening is a single mask intersection per
 //! word.
 //!
-//! Decode also lowers every slot to a dense *handler index* and every
-//! word to a *class index* into the build-time-generated dispatch tables
-//! (see `dispatch.rs` / `build.rs`), so the tabled engine issues a word
-//! with one indirect call per slot and no per-slot op-kind match.
+//! Decode also stamps every word with a *class index*
+//! (`word_class_index`): which of the issue path's prepasses the word
+//! can need.  The tabled engine picks one of eight specialised word-issue
+//! paths by this index.
 //!
 //! Both engines share the per-slot execution semantics
-//! (`VliwMachine::exec_*`), so the decoded representation only changes
+//! (`VliwMachine::exec_slot_*`), so the decoded representation only changes
 //! *how fast* a word is inspected, never *what* it does; the differential
 //! fuzz harness holds the engines to byte-identical event logs.
 
-use crate::dispatch;
 use psb_isa::{Op, Predicate, RegSet, SlotOp, VliwProgram};
+
+/// Number of word classes: one bit per [`word_class_index`] axis.
+pub(crate) const NUM_WORD_CLASSES: usize = 8;
+
+/// Dense index of a word's issue-path specialisation class.
+/// bit 0: any slot has a conditional (non-`alw`) predicate
+/// bit 1: the word contains at least one store slot
+/// bit 2: the word contains a control-transfer slot
+pub(crate) const fn word_class_index(any_cond: bool, any_store: bool, any_control: bool) -> u8 {
+    any_cond as u8 | (any_store as u8) << 1 | (any_control as u8) << 2
+}
 
 /// One decoded slot: the predicate and operation copied out of the
 /// program, plus the set of registers the operation reads.
@@ -35,11 +45,6 @@ pub struct DecodedSlot {
     /// The registers the operation reads (shadow or sequential source
     /// alike — both stall on an in-flight write).
     pub src_mask: RegSet,
-    /// Index into the generated slot-handler dispatch tables: the slot's
-    /// op kind fused with whether its predicate is `alw`.  Derived by
-    /// [`DecodedProgram::decode`] and re-checked at machine construction
-    /// by [`DecodedProgram::validate_dispatch`].
-    pub handler: u16,
 }
 
 /// Per-word metadata driving the issue loop's fast paths.
@@ -59,7 +64,7 @@ pub struct DecodedWord {
     /// Whether `addr + 1` is a region start, pre-resolving the
     /// fall-through region check's binary search.
     pub falls_into_region: bool,
-    /// Index into the generated word-issue dispatch table: one bit per
+    /// The word's issue-path class (`word_class_index`): one bit per
     /// specialisation axis (conditional predicates present / store slots
     /// present / control transfer — jump, compare-and-branch or halt —
     /// present), selecting the streamlined issue path that skips
@@ -115,10 +120,6 @@ impl DecodedProgram {
                     pred: slot.pred,
                     op: slot.op,
                     src_mask: mask,
-                    handler: dispatch::slot_handler_index(
-                        dispatch::op_kind(&slot.op),
-                        slot.pred.is_always(),
-                    ),
                 });
             }
             let next = addr + 1;
@@ -129,7 +130,7 @@ impl DecodedProgram {
                 store_slots,
                 falls_into_region: next < prog.words.len()
                     && prog.region_starts.binary_search(&next).is_ok(),
-                class: dispatch::word_class_index(any_cond, store_slots > 0, any_control),
+                class: word_class_index(any_cond, store_slots > 0, any_control),
             });
         }
         DecodedProgram { words, slots }
@@ -142,17 +143,17 @@ impl DecodedProgram {
         a..a + word.num_slots as usize
     }
 
-    /// Checks that the arena's generated-dispatch lowering is exactly what
-    /// [`DecodedProgram::decode`] would produce for its own slots: every
-    /// slot's handler index and every word's class index (plus the
-    /// store-slot count the specialised issue paths rely on) are
+    /// Checks that the arena's per-word metadata is exactly what
+    /// [`DecodedProgram::decode`] would produce for its own slots: the
+    /// slot ranges tile the slot arena, and every word's class index and
+    /// store-slot count (which the specialised issue paths rely on) are
     /// re-derived and compared.
     ///
     /// Machine construction runs this before the first cycle, so a
     /// corrupted or hand-constructed arena is rejected with a
     /// [`Malformed`](crate::VliwError::Malformed) error at decode time —
-    /// the tabled engine never indexes a function-pointer table with an
-    /// unchecked value.
+    /// the tabled engine never picks an issue path from an unchecked
+    /// class.
     pub fn validate_dispatch(&self) -> Result<(), String> {
         let mut next_slot = 0usize;
         for (addr, w) in self.words.iter().enumerate() {
@@ -173,16 +174,7 @@ impl DecodedProgram {
             let mut any_cond = false;
             let mut store_slots = 0u8;
             let mut any_control = false;
-            for (k, s) in slots.iter().enumerate() {
-                let want =
-                    dispatch::slot_handler_index(dispatch::op_kind(&s.op), s.pred.is_always());
-                if s.handler != want {
-                    return Err(format!(
-                        "word {addr} slot {k}: dispatch handler index {} does not match \
-                         the operation (expected {want})",
-                        s.handler
-                    ));
-                }
+            for s in slots {
                 any_cond |= !s.pred.is_always();
                 match s.op {
                     SlotOp::Op(Op::Store { .. }) => store_slots += 1,
@@ -199,7 +191,7 @@ impl DecodedProgram {
                     w.store_slots
                 ));
             }
-            let want = dispatch::word_class_index(any_cond, store_slots > 0, any_control);
+            let want = word_class_index(any_cond, store_slots > 0, any_control);
             if w.class != want {
                 return Err(format!(
                     "word {addr}: dispatch word class {} does not match its slots \
@@ -285,35 +277,26 @@ mod tests {
     }
 
     #[test]
-    fn decode_lowers_dispatch_indices() {
+    fn decode_lowers_word_classes() {
         let d = DecodedProgram::decode(&prog());
-        // All predicates are `alw`, so every handler index is odd
-        // (kind * 2 + 1) and every word class has bit 0 clear.
-        assert_eq!(
-            d.slots[0].handler,
-            dispatch::slot_handler_index(dispatch::K_ALU, true)
-        );
-        assert_eq!(
-            d.slots[1].handler,
-            dispatch::slot_handler_index(dispatch::K_STORE, true)
-        );
-        assert_eq!(
-            d.slots[3].handler,
-            dispatch::slot_handler_index(dispatch::K_HALT, true)
-        );
-        assert_eq!(
-            d.words[0].class,
-            dispatch::word_class_index(false, true, false)
-        );
-        assert_eq!(
-            d.words[1].class,
-            dispatch::word_class_index(false, false, false)
-        );
-        assert_eq!(
-            d.words[2].class,
-            dispatch::word_class_index(false, false, true)
-        );
+        // All predicates are `alw`, so every word class has bit 0 clear.
+        assert_eq!(d.words[0].class, word_class_index(false, true, false));
+        assert_eq!(d.words[1].class, word_class_index(false, false, false));
+        assert_eq!(d.words[2].class, word_class_index(false, false, true));
         d.validate_dispatch().expect("decode output validates");
+    }
+
+    #[test]
+    fn word_classes_cover_all_axes() {
+        let mut seen = [false; NUM_WORD_CLASSES];
+        for cond in [false, true] {
+            for store in [false, true] {
+                for control in [false, true] {
+                    seen[word_class_index(cond, store, control) as usize] = true;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
@@ -328,24 +311,12 @@ mod tests {
             }),
         }]);
         let d = DecodedProgram::decode(&p);
-        assert_eq!(
-            d.words[1].class,
-            dispatch::word_class_index(true, false, false)
-        );
-        assert_eq!(
-            d.slots[2].handler,
-            dispatch::slot_handler_index(dispatch::K_COPY, false)
-        );
+        assert_eq!(d.words[1].class, word_class_index(true, false, false));
         d.validate_dispatch().expect("decode output validates");
     }
 
     #[test]
     fn validate_dispatch_rejects_corruption() {
-        let mut d = DecodedProgram::decode(&prog());
-        d.slots[0].handler = 999;
-        let err = d.validate_dispatch().unwrap_err();
-        assert!(err.contains("dispatch handler index 999"), "{err}");
-
         let mut d = DecodedProgram::decode(&prog());
         d.words[2].class = 7;
         let err = d.validate_dispatch().unwrap_err();
@@ -365,8 +336,8 @@ mod tests {
         let err = d.validate_dispatch().unwrap_err();
         assert!(err.contains("slot arena"), "{err}");
 
-        // SetCond with a `cmp` that matches nothing? Not constructible —
-        // instead check that swapping ops without re-lowering is caught.
+        // Swapping the halt for a nop without re-decoding leaves the
+        // word's control bit set: caught.
         let mut d = DecodedProgram::decode(&prog());
         d.slots[3].op = SlotOp::Op(Op::Nop);
         assert!(d.validate_dispatch().is_err());

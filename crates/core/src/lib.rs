@@ -58,7 +58,6 @@
 pub mod batch;
 mod config;
 mod decoded;
-mod dispatch;
 mod event;
 mod invariant;
 mod machine;

@@ -24,8 +24,7 @@
 //!    otherwise the candidate becomes the CCR and control advances.
 
 use crate::config::{CommitScan, Engine, MachineConfig};
-use crate::decoded::{DecodedProgram, DecodedSlot};
-use crate::dispatch;
+use crate::decoded::{word_class_index, DecodedProgram, NUM_WORD_CLASSES};
 use crate::event::{Event, EventLog, StateLoc};
 use crate::mem::MemorySystem;
 use crate::obs::{CycleSample, StallKind, TraceSink};
@@ -279,17 +278,8 @@ enum StepOutcome {
     Halted,
 }
 
-/// A fused normal-mode slot handler from the generated dispatch table
-/// (predicate evaluation + execution in one call).
-type SlotNormalFn<'p, S> =
-    fn(&mut VliwMachine<'p, S>, DecodedSlot, &mut CycleOut) -> Result<(), VliwError>;
-
-/// A fused recovery-mode slot handler from the generated dispatch table.
-type SlotRecoveryFn<'p, S> =
-    fn(&mut VliwMachine<'p, S>, DecodedSlot, &Ccr, &mut CycleOut) -> Result<(), VliwError>;
-
-/// A per-class specialised word-issue path from the generated dispatch
-/// table.
+/// A per-class specialised word-issue path (an entry of
+/// `VliwMachine::WORD_NORMAL`).
 type WordIssueFn<'p, S> = fn(&mut VliwMachine<'p, S>) -> Result<IssueOutcome, VliwError>;
 
 impl<'p> VliwMachine<'p> {
@@ -361,10 +351,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     ///
     /// [`VliwError::Malformed`] if the program fails validation, exceeds
     /// the configured issue width or function-unit counts, the arena's
-    /// word count does not match the program's, or the arena's generated
-    /// dispatch lowering fails
-    /// [`DecodedProgram::validate_dispatch`] — a corrupted table index is
-    /// rejected here, at construction, never at issue time.
+    /// word count does not match the program's, or the arena's per-word
+    /// metadata fails [`DecodedProgram::validate_dispatch`] — a corrupted
+    /// word class is rejected here, at construction, never at issue time.
     pub fn with_sink_decoded(
         prog: &'p VliwProgram,
         decoded: Arc<DecodedProgram>,
@@ -872,18 +861,6 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         ))
     }
 
-    /// A slot's generated handler index disagrees with its operation.
-    /// Unreachable after [`DecodedProgram::validate_dispatch`]; kept as a
-    /// typed error so a table mismatch can never become a wrong-handler
-    /// silent misexecution.
-    #[cold]
-    fn dispatch_mismatch_error(&self) -> VliwError {
-        VliwError::Malformed(format!(
-            "word {}: dispatch table does not match the slot operation",
-            self.pc
-        ))
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn exec_alu(
         &mut self,
@@ -1153,9 +1130,8 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     }
 
     /// Executes one live (predicate not false) slot in normal mode,
-    /// accumulating its effects into `out`.  Used by the legacy issue
-    /// path; the tabled engine reaches the same `exec_*` methods through
-    /// its generated handler table.
+    /// accumulating its effects into `out`.  Both engines' issue paths
+    /// call it for every live slot.
     fn exec_slot_normal(
         &mut self,
         pred: Predicate,
@@ -1236,9 +1212,8 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
 
     /// Executes one unspecified-predicate slot in recovery mode,
     /// accumulating its effects into `out`.  A re-raised exception is
-    /// judged against the *future* condition.  Used by the legacy issue
-    /// path; the tabled engine reaches the same `exec_*` methods through
-    /// its generated handler table.
+    /// judged against the *future* condition.  Both engines' issue paths
+    /// call it for every unspecified slot.
     fn exec_slot_recovery(
         &mut self,
         pred: Predicate,
@@ -1273,195 +1248,38 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     }
 
     // ------------------------------------------------------------------
-    // Tabled engine: build-time-generated dispatch.
+    // Tabled engine: word-class dispatch over the decoded arena.
     //
-    // `build.rs` emits the table macros and the index functions decode
-    // uses to lower each slot/word; the associated consts below expand
-    // those macros into dense function-pointer tables.  Each table entry
-    // is a monomorphisation of `h_normal`/`h_recovery`/`wi_normal` over
-    // const generics, so the op-kind match and the specialisation
-    // branches below constant-fold away — one direct-called handler per
-    // (kind, always) pair and per word class, with predicate evaluation,
-    // hazard screening and execution fused into the single call.
+    // Decode stamps every word with its class (`DecodedWord::class`), and
+    // `WORD_NORMAL` holds one `wi_normal` instantiation per class, so the
+    // prepasses a class cannot need constant-fold away.  Live slots then
+    // go through the same `exec_slot_*` match as the legacy engine.
     // ------------------------------------------------------------------
 
-    /// Normal-mode slot handlers, indexed by [`DecodedSlot::handler`].
-    const SLOT_NORMAL: [SlotNormalFn<'p, S>; dispatch::NUM_SLOT_HANDLERS] =
-        dispatch::slot_normal_table!();
-
-    /// Recovery-mode slot handlers, indexed by [`DecodedSlot::handler`].
-    const SLOT_RECOVERY: [SlotRecoveryFn<'p, S>; dispatch::NUM_SLOT_HANDLERS] =
-        dispatch::slot_recovery_table!();
-
     /// Specialised normal-mode issue paths, indexed by
-    /// [`DecodedWord::class`](crate::DecodedWord::class).
-    const WORD_NORMAL: [WordIssueFn<'p, S>; dispatch::NUM_WORD_CLASSES] =
-        dispatch::word_normal_table!();
+    /// [`DecodedWord::class`](crate::DecodedWord::class).  Each entry is
+    /// stored at its own `word_class_index`, so the table order cannot
+    /// drift from decode's.
+    const WORD_NORMAL: [WordIssueFn<'p, S>; NUM_WORD_CLASSES] = {
+        let mut t: [WordIssueFn<'p, S>; NUM_WORD_CLASSES] =
+            [Self::wi_normal::<false, false, false>; NUM_WORD_CLASSES];
+        t[word_class_index(true, false, false) as usize] = Self::wi_normal::<true, false, false>;
+        t[word_class_index(false, true, false) as usize] = Self::wi_normal::<false, true, false>;
+        t[word_class_index(true, true, false) as usize] = Self::wi_normal::<true, true, false>;
+        t[word_class_index(false, false, true) as usize] = Self::wi_normal::<false, false, true>;
+        t[word_class_index(true, false, true) as usize] = Self::wi_normal::<true, false, true>;
+        t[word_class_index(false, true, true) as usize] = Self::wi_normal::<false, true, true>;
+        t[word_class_index(true, true, true) as usize] = Self::wi_normal::<true, true, true>;
+        t
+    };
 
-    /// One generated normal-mode slot handler: predicate evaluation fused
-    /// with execution for op kind `KIND`.  `ALWAYS` instantiations skip
-    /// the CCR evaluation entirely (an `alw` predicate is always true).
-    fn h_normal<const KIND: u8, const ALWAYS: bool>(
-        &mut self,
-        s: DecodedSlot,
-        out: &mut CycleOut,
-    ) -> Result<(), VliwError> {
-        let pv = if ALWAYS {
-            Cond::True
-        } else {
-            s.pred.eval(&self.ccr)
-        };
-        if pv == Cond::False {
-            self.stats.ops_squashed += 1;
-            return Ok(());
-        }
-        let nonspec = pv == Cond::True;
-        match KIND {
-            dispatch::K_NOP => Ok(()),
-            dispatch::K_ALU => {
-                let SlotOp::Op(Op::Alu { op, rd, a, b }) = s.op else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_alu(s.pred, op, rd, a, b, nonspec, out);
-                Ok(())
-            }
-            dispatch::K_COPY => {
-                let SlotOp::Op(Op::Copy { rd, src }) = s.op else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_copy(s.pred, rd, src, nonspec, out);
-                Ok(())
-            }
-            dispatch::K_SET_COND => {
-                let SlotOp::Op(Op::SetCond { c, cmp, a, b }) = s.op else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_setcond(s.pred, c, cmp, a, b, out);
-                Ok(())
-            }
-            dispatch::K_LOAD => {
-                let SlotOp::Op(Op::Load {
-                    rd, base, offset, ..
-                }) = s.op
-                else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_load_normal(s.pred, rd, base, offset, nonspec)
-            }
-            dispatch::K_STORE => {
-                let SlotOp::Op(Op::Store {
-                    base,
-                    offset,
-                    value,
-                    ..
-                }) = s.op
-                else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_store_normal(s.pred, base, offset, value, nonspec, out)
-            }
-            dispatch::K_JUMP => {
-                let SlotOp::Jump { target } = s.op else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_jump(target, nonspec, out)
-            }
-            dispatch::K_CMP_BR => {
-                let SlotOp::CmpBr {
-                    c,
-                    cmp,
-                    a,
-                    b,
-                    target,
-                } = s.op
-                else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_cmpbr(s.pred, c, cmp, a, b, target, out)
-            }
-            dispatch::K_HALT => {
-                self.exec_halt(out);
-                Ok(())
-            }
-            _ => Err(self.dispatch_mismatch_error()),
-        }
-    }
-
-    /// One generated recovery-mode slot handler, the fused counterpart of
-    /// the squash/re-execute split in
-    /// [`issue_recovery`](Self::issue_recovery) +
-    /// [`exec_slot_recovery`](Self::exec_slot_recovery).
-    fn h_recovery<const KIND: u8, const ALWAYS: bool>(
-        &mut self,
-        s: DecodedSlot,
-        future: &Ccr,
-        out: &mut CycleOut,
-    ) -> Result<(), VliwError> {
-        let pv = if ALWAYS {
-            Cond::True
-        } else {
-            s.pred.eval(&self.ccr)
-        };
-        if pv != Cond::Unspecified {
-            // Category 1: already updated the sequential state, or must
-            // not update any state.  Jumps and halts here always carry
-            // specified-false predicates (a true one would have left the
-            // region originally).
-            if (KIND == dispatch::K_JUMP || KIND == dispatch::K_HALT) && pv == Cond::True {
-                return Err(self.recovery_jump_true_error());
-            }
-            self.stats.ops_squashed += 1;
-            return Ok(());
-        }
-        match KIND {
-            dispatch::K_JUMP | dispatch::K_HALT => Err(self.recovery_unspecified_jump_error()),
-            dispatch::K_CMP_BR | dispatch::K_SET_COND => Err(self.recovery_condset_error()),
-            dispatch::K_NOP => Ok(()),
-            dispatch::K_ALU => {
-                let SlotOp::Op(Op::Alu { op, rd, a, b }) = s.op else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_alu(s.pred, op, rd, a, b, false, out);
-                Ok(())
-            }
-            dispatch::K_COPY => {
-                let SlotOp::Op(Op::Copy { rd, src }) = s.op else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_copy(s.pred, rd, src, false, out);
-                Ok(())
-            }
-            dispatch::K_LOAD => {
-                let SlotOp::Op(Op::Load {
-                    rd, base, offset, ..
-                }) = s.op
-                else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_load_recovery(s.pred, rd, base, offset, future)
-            }
-            dispatch::K_STORE => {
-                let SlotOp::Op(Op::Store {
-                    base,
-                    offset,
-                    value,
-                    ..
-                }) = s.op
-                else {
-                    return Err(self.dispatch_mismatch_error());
-                };
-                self.exec_store_recovery(s.pred, base, offset, value, future, out)
-            }
-            _ => Err(self.dispatch_mismatch_error()),
-        }
-    }
-
-    /// One generated normal-mode word-issue path, specialised by word
-    /// class: `COND` = any slot carries a conditional predicate, `STORE` =
-    /// the word contains store slots, `CONTROL` = it contains a control
-    /// transfer.  Classes without a given feature skip that prepass
-    /// entirely — e.g. an all-`alw`, store-and-control-free word goes
-    /// straight from the mask hazard screen to its slot handlers.
+    /// One normal-mode word-issue path, specialised by word class: `COND`
+    /// = any slot carries a conditional predicate, `STORE` = the word
+    /// contains store slots, `CONTROL` = it contains a control transfer.
+    /// Classes without a given feature skip that prepass entirely — e.g.
+    /// an all-`alw`, store-and-control-free word goes straight from the
+    /// mask hazard screen to executing its slots, evaluating no
+    /// predicate.
     fn wi_normal<const COND: bool, const STORE: bool, const CONTROL: bool>(
         &mut self,
     ) -> Result<IssueOutcome, VliwError> {
@@ -1526,22 +1344,32 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         self.stats.words_issued += 1;
         for i in range {
             let s = self.decoded.slots[i];
-            Self::SLOT_NORMAL[s.handler as usize](self, s, &mut out)?;
+            // An all-`alw` class has no predicate to evaluate: every slot
+            // is true.
+            let pv = if COND {
+                s.pred.eval(&self.ccr)
+            } else {
+                Cond::True
+            };
+            if pv == Cond::False {
+                self.stats.ops_squashed += 1;
+                continue;
+            }
+            self.exec_slot_normal(s.pred, s.op, pv == Cond::True, &mut out)?;
         }
         Ok(IssueOutcome::Issued(out))
     }
 
-    /// Issues the word at PC in normal mode via the generated dispatch
-    /// tables: the word's class selects a specialised issue path, which
-    /// calls one fused handler per slot.
+    /// Issues the word at PC in normal mode: the word's class selects a
+    /// specialised issue path from `WORD_NORMAL`.
     #[inline]
     fn issue_normal_tabled(&mut self) -> Result<IssueOutcome, VliwError> {
         Self::WORD_NORMAL[self.decoded.words[self.pc].class as usize](self)
     }
 
-    /// Issues the word at PC in recovery mode via the generated dispatch
-    /// tables — recovery cycles are rare, so only the per-slot dispatch is
-    /// tabled; the screening prepasses are those of
+    /// Issues the word at PC in recovery mode.  Recovery cycles are rare,
+    /// so there is one path for every word class: the screening
+    /// prepasses and the squash rule are those of
     /// [`issue_recovery`](Self::issue_recovery), read from the decoded
     /// arena (one mask intersection screens operand hazards, and the
     /// store prepass is skipped for store-free words).
@@ -1586,7 +1414,16 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         self.stats.words_issued += 1;
         for i in range {
             let s = self.decoded.slots[i];
-            Self::SLOT_RECOVERY[s.handler as usize](self, s, future, &mut out)?;
+            let pv = s.pred.eval(&self.ccr);
+            if pv != Cond::Unspecified {
+                // Category 1, as in `issue_recovery`.
+                if matches!(s.op, SlotOp::Jump { .. } | SlotOp::Halt) && pv == Cond::True {
+                    return Err(self.recovery_jump_true_error());
+                }
+                self.stats.ops_squashed += 1;
+                continue;
+            }
+            self.exec_slot_recovery(s.pred, s.op, future, &mut out)?;
         }
         Ok(IssueOutcome::Issued(out))
     }

@@ -23,6 +23,10 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::fmt;
 
+/// The power-of-two-bucketed histogram the counters sink keeps: one type
+/// for the machine's counters and the host metrics registry.
+pub use psb_telemetry::Histogram;
+
 /// Why a cycle failed to issue.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StallKind {
@@ -166,95 +170,6 @@ impl TraceSink for EventLog {
 
     fn take_events(&mut self) -> Vec<Event> {
         self.drain_events()
-    }
-}
-
-/// A power-of-two-bucketed histogram of `u64` values, as a hardware
-/// counter bank would implement it.
-///
-/// Value `v` lands in bucket `ceil(log2(v + 1))`: bucket 0 holds the value
-/// 0, bucket 1 holds 1, bucket 2 holds 2–3, bucket 3 holds 4–7, and so on.
-/// Alongside the buckets the histogram tracks count, sum, min and max, so
-/// means are exact even though the buckets are coarse.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// The bucket index for `v`.
-    pub fn bucket_of(v: u64) -> usize {
-        (u64::BITS - v.leading_zeros()) as usize
-    }
-
-    /// The inclusive value range `[lo, hi]` covered by bucket `i`.
-    pub fn bucket_range(i: usize) -> (u64, u64) {
-        if i == 0 {
-            (0, 0)
-        } else {
-            (1 << (i - 1), (1u64 << i) - 1)
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, v: u64) {
-        let b = Histogram::bucket_of(v);
-        if self.buckets.len() <= b {
-            self.buckets.resize(b + 1, 0);
-        }
-        self.buckets[b] += 1;
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest recorded value (0 when empty).
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    /// Largest recorded value (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// The bucket counts, lowest bucket first (no trailing zeros).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
     }
 }
 
@@ -555,30 +470,6 @@ impl TraceSink for CountersSink {
 mod tests {
     use super::*;
     use psb_isa::{CondReg, Predicate, Reg};
-
-    #[test]
-    fn histogram_buckets_are_powers_of_two() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(4), 3);
-        assert_eq!(Histogram::bucket_of(7), 3);
-        assert_eq!(Histogram::bucket_of(8), 4);
-        assert_eq!(Histogram::bucket_range(0), (0, 0));
-        assert_eq!(Histogram::bucket_range(1), (1, 1));
-        assert_eq!(Histogram::bucket_range(3), (4, 7));
-        let mut h = Histogram::new();
-        for v in [0, 1, 3, 3, 9] {
-            h.record(v);
-        }
-        assert_eq!(h.buckets(), &[1, 1, 2, 0, 1]);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 16);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 9);
-        assert!((h.mean() - 3.2).abs() < 1e-12);
-    }
 
     #[test]
     fn occupancy_tracks_mean_and_high_water() {

@@ -222,6 +222,7 @@ impl Cli {
             v.parse().map_err(|_| format!("{flag} needs {what}"))
         }
         let mut flags = Vec::new();
+        let mut size_given = false;
         while i < args.len() {
             if args[i].starts_with('-') {
                 flags.push(args[i].as_str());
@@ -247,10 +248,7 @@ impl Cli {
                     cli.fuzz_params.corpus_dir = operand(&mut i, "a directory")?.into();
                 }
                 "--inject-recovery-bug" => cli.fuzz_params.inject_recovery_bug = true,
-                "--quick" => {
-                    cli.params.size = cli.params.size.min(512);
-                    cli.bench_params.quick = true;
-                }
+                "--quick" => cli.bench_params.quick = true,
                 "--json" => cli.json = true,
                 "--deterministic" => cli.deterministic = true,
                 "--engine" => {
@@ -291,6 +289,7 @@ impl Cli {
                 "--size" => {
                     let v = operand(&mut i, "a number")?;
                     cli.params.size = num("--size", &v, "a number")?;
+                    size_given = true;
                 }
                 "--train-seed" => {
                     let v = operand(&mut i, "a number")?;
@@ -367,6 +366,11 @@ impl Cli {
             }
             i += 1;
         }
+        // `--quick` caps the size only when no `--size` was given, so an
+        // explicit size wins whichever flag comes first.
+        if cli.bench_params.quick && !size_given {
+            cli.params.size = cli.params.size.min(512);
+        }
         check_flags(&cli.what, &flags)?;
         check_partners(&cli.what, &flags)?;
         Ok(cli)
@@ -389,6 +393,15 @@ mod tests {
         let cli = parse(&["bench", "--quick", "--deterministic"]).unwrap();
         assert_eq!(cli.what, "bench");
         assert!(cli.bench_params.quick && cli.deterministic);
+    }
+
+    #[test]
+    fn explicit_size_wins_over_quick_in_either_order() {
+        let size = |args: &[&str]| parse(args).unwrap().params.size;
+        assert_eq!(size(&["table2", "--quick", "--size", "1024"]), 1024);
+        assert_eq!(size(&["table2", "--size", "1024", "--quick"]), 1024);
+        assert_eq!(size(&["table2", "--size", "96", "--quick"]), 96);
+        assert_eq!(size(&["table2", "--quick"]), 512);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Differential proof that the table-dispatched issue path is observably
-//! identical to the legacy one.
+//! Differential proof that the tabled issue path is observably identical
+//! to the legacy one.
 //!
 //! The tabled engine replaces the legacy per-cycle `MultiOp` clone and
-//! `SlotOp::srcs()` walk with a decoded arena and mask screens, and
-//! drives issue from generated function-pointer tables with fused
-//! per-slot handlers.  The legacy engine reads the program itself, never
-//! the arena, so it is an independent reference.  This property holds
+//! `SlotOp::srcs()` walk with a decoded arena and mask screens, and picks
+//! one of eight word-class issue paths per word.  The legacy engine reads
+//! the program itself, never the arena, so everything that decides which
+//! slots issue, and when, is an independent reference; the slot match
+//! both engines call is checked by the scalar golden model instead.  This property holds
 //! the two to the strongest available equality: on randomly generated
 //! fuzz programs (speculative exceptions, recoveries, region exits
 //! included), both engines must produce **byte-identical event logs**

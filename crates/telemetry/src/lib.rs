@@ -9,8 +9,8 @@
 //!   with a monotonic clock, recorded into per-thread buffers and
 //!   merged deterministically ([`Recorder::report`]).
 //! - **Metrics** ([`Registry`]): named counters, gauges, and
-//!   log-bucketed [`Histogram`]s (the same power-of-two idiom as the
-//!   guest `CountersSink`) with bracketed p50/p90/p99/max readout.
+//!   log-bucketed [`Histogram`]s (the type the guest `CountersSink`
+//!   keeps too) with bracketed p50/p90/p99/max readout.
 //! - **Determinism**: a `Recorder` in deterministic mode zeroes every
 //!   wall-derived value and drops the `_host` record families, so
 //!   reports are byte-identical at any `--jobs` — the property CI pins.

@@ -1,8 +1,8 @@
 //! The metrics registry: named counters, gauges, and log-bucketed
 //! histograms with percentile readout.
 //!
-//! The histogram uses the same power-of-two bucketing idiom as the
-//! machine's `CountersSink` (`psb-core`): value `v` lands in bucket
+//! The histogram is also the one the machine's `CountersSink`
+//! (`psb-core`) keeps, re-exported there: value `v` lands in bucket
 //! `ceil(log2(v + 1))`, so bucket 0 holds 0, bucket 1 holds 1, bucket 2
 //! holds 2–3, and so on.  Buckets are coarse, but the histogram also
 //! tracks exact count/sum/min/max, and every percentile estimate comes
@@ -297,9 +297,24 @@ mod tests {
     fn buckets_follow_the_power_of_two_idiom() {
         assert_eq!(Histogram::bucket_of(0), 0);
         assert_eq!(Histogram::bucket_of(1), 1);
+        assert_eq!(Histogram::bucket_of(2), 2);
         assert_eq!(Histogram::bucket_of(3), 2);
         assert_eq!(Histogram::bucket_of(4), 3);
+        assert_eq!(Histogram::bucket_of(7), 3);
+        assert_eq!(Histogram::bucket_of(8), 4);
+        assert_eq!(Histogram::bucket_range(0), (0, 0));
+        assert_eq!(Histogram::bucket_range(1), (1, 1));
         assert_eq!(Histogram::bucket_range(3), (4, 7));
+        let mut h = Histogram::new();
+        for v in [0, 1, 3, 3, 9] {
+            h.record(v);
+        }
+        assert_eq!(h.buckets(), &[1, 1, 2, 0, 1]);
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), 16);
+        assert_eq!(h.min(), 0);
+        assert_eq!(h.max(), 9);
+        assert!((h.mean() - 3.2).abs() < 1e-12);
     }
 
     #[test]

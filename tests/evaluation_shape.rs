@@ -2,7 +2,9 @@
 //! qualitative claims of the paper's Section 4 must hold at test size.
 //! Absolute numbers are recorded in EXPERIMENTS.md, not asserted here.
 
-use psb::eval::{fig6, fig7, geometric_mean, table3, EvalParams};
+use psb::eval::{
+    ablation_counter, ablation_shadow, fig6, fig7, geometric_mean, table3, EvalParams,
+};
 
 fn params() -> EvalParams {
     EvalParams {
@@ -113,4 +115,22 @@ fn table3_bands_hold() {
     };
     assert!(acc4("grep") > acc4("compress"));
     assert!(acc4("nroff") > acc4("eqntott"));
+}
+
+#[test]
+fn ablation_claims_hold() {
+    // Footnote 1: the single-shadow design gives up at most ~1% against
+    // unbounded shadow storage.
+    let (single, infinite) = ablation_shadow(&params()).geomeans;
+    assert!(
+        single >= infinite * 0.99,
+        "single shadows {single:.3} vs infinite {infinite:.3}"
+    );
+    // Section 4.2.1: counter-form predicates (ordered condition-sets) can
+    // only slow trace predicating down.
+    let (vector, counter) = ablation_counter(&params()).geomeans;
+    assert!(
+        counter <= vector * 1.01,
+        "counter form {counter:.3} vs vector form {vector:.3}"
+    );
 }
