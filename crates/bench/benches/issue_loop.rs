@@ -5,11 +5,10 @@
 //! suite proves byte-equal results); what this group measures is pure
 //! simulator cost.  The legacy path clones the `MultiOp` and walks
 //! `SlotOp::srcs()` allocations every cycle and runs the paper's naive
-//! commit pass over every buffered entry every cycle.  The tabled path
-//! reads `Copy` slots from a dense arena, screens operand hazards with
-//! one mask intersection, issues through an issue path specialised to
-//! the word's class (no store or control prepass where the word has
-//! none, no predicate evaluation in all-`alw` words), runs the indexed
+//! commit pass over every buffered entry every cycle.  In normal mode
+//! the tabled path reads `Copy` slots from a dense arena, screens
+//! operand hazards with one mask intersection and skips the store and
+//! control prepass for words that have neither; it runs the indexed
 //! commit pass only when something is buffered, and skips inert stall
 //! runs.
 

@@ -16,9 +16,7 @@
 //! [`EdgeProfile`] (or adopts one the caller already has, via
 //! [`ProfileSource::Provided`]); [`Stage::Schedule`] invokes the
 //! model-specific VLIW scheduler; [`Stage::Decode`] lowers the schedule
-//! into the decoded arena the machine's tabled issue path reads —
-//! including the per-word issue classes that pick each word's
-//! specialised issue path.  The
+//! into the decoded arena the machine's tabled issue path reads.  The
 //! product is an immutable [`CompiledArtifact`] carrying everything a
 //! consumer needs to *run* the program — including the decoded arena, so
 //! machine construction no longer re-lowers per run — plus per-stage
@@ -208,17 +206,6 @@ pub struct CompileStats {
     pub words: usize,
     /// Total slots in the scheduled program.
     pub slots: usize,
-}
-
-impl CompileStats {
-    /// The wall seconds spent in `stage`.
-    pub fn seconds_of(&self, stage: Stage) -> f64 {
-        match stage {
-            Stage::Profile => self.profile_seconds,
-            Stage::Schedule => self.schedule_seconds,
-            Stage::Decode => self.decode_seconds,
-        }
-    }
 }
 
 /// An artifact's published content hash, computed on first read.
@@ -465,7 +452,7 @@ fn finish_compile<T: Telemetry>(
             decode_seconds,
             profile_branches: entry.branches,
             words: program.words.len(),
-            slots: decoded.slots.len(),
+            slots: decoded.slot_count(),
         },
         profile: Arc::clone(&entry.profile),
         program,

@@ -23,28 +23,31 @@
 //! The payload carries only the two inputs that are expensive to
 //! reproduce — the training [`EdgeProfile`] and the scheduled
 //! [`VliwProgram`].  Everything else re-derives on load: the decoded
-//! issue arena (`DecodedProgram::decode` + `validate_dispatch`), the
-//! static [`ScheduleStats`], and the branch count.  Stage wall timings
-//! are zeroed — a disk hit did no compile work.  The header fields are
-//! not under the checksum; each is checked on its own below.
+//! issue arena (`DecodedProgram::decode`), the static [`ScheduleStats`],
+//! and the branch count.  Stage wall timings are zeroed — a disk hit did
+//! no compile work.  The header fields are not under the checksum; each
+//! is checked on its own below.
 //!
 //! # Validation-on-load and invalidation
 //!
 //! A load is accepted only if the magic/version match, the payload
 //! checksum verifies, the stored `request_key` equals the requesting
-//! key, the content hash *recomputed* over the decoded program, the
+//! key, and the content hash *recomputed* over the decoded program, the
 //! decoded profile and the request's scheduling configuration (by the
 //! same [`ContentHash`] that artifacts compute lazily) equals the
-//! stored one, and the decoded arena passes `validate_dispatch`.  Any
-//! failure is a typed [`StoreError`] — never a panic — and the caller
-//! falls back to a fresh compile, whose save then overwrites the bad
-//! file.  Invalidation is therefore implicit: a codec change bumps
-//! `STORE_VERSION`, and a scheduler change alters the content hash, so
-//! stale files read as errors and self-heal.  A change of the request
-//! key's derivation (its tag, or the toolchain's derived `Hash` words)
-//! needs no version bump: the file layout is unchanged, and files under
-//! old keys are simply never looked up again — orphans, which a
-//! size-capped store evicts as its oldest files.
+//! stored one.  Any failure is a typed [`StoreError`] — never a panic —
+//! and the caller falls back to a fresh compile, whose save then
+//! overwrites the bad file.  Invalidation is therefore implicit: a codec
+//! change bumps `STORE_VERSION`, and a scheduler change alters the
+//! content hash, so stale files read as errors and self-heal.  A change
+//! of the request key's derivation (its tag, or the toolchain's derived
+//! `Hash` words) needs no version bump: the file layout is unchanged, and
+//! files under old keys are simply never looked up again — orphans,
+//! which a size-capped store evicts as its oldest files.
+//!
+//! A program that decodes but breaks the machine's limits (a word wider
+//! than the issue width, say) loads, and every run of it fails at
+//! machine construction with a typed `VliwError::Malformed`.
 //!
 //! Writes go to a process-unique temp file followed by a rename, so a
 //! concurrent reader in another process sees either the old complete
@@ -116,8 +119,6 @@ pub enum StoreError {
     },
     /// A structural decode error (bad tag, out-of-range register, …).
     Corrupt(String),
-    /// The decoded program failed the machine's dispatch validation.
-    Dispatch(String),
 }
 
 impl fmt::Display for StoreError {
@@ -144,7 +145,6 @@ impl fmt::Display for StoreError {
                 "artifact content-hash mismatch: stored {stored:016x}, recomputed {actual:016x}"
             ),
             StoreError::Corrupt(m) => write!(f, "artifact payload corrupt: {m}"),
-            StoreError::Dispatch(m) => write!(f, "artifact failed dispatch validation: {m}"),
         }
     }
 }
@@ -458,7 +458,6 @@ pub fn decode_artifact(
     }
 
     let decoded = DecodedProgram::decode(&program);
-    decoded.validate_dispatch().map_err(StoreError::Dispatch)?;
     let sched_stats = ScheduleStats::analyze(&program);
     let stats = CompileStats {
         profile_seconds: 0.0,
@@ -466,7 +465,7 @@ pub fn decode_artifact(
         decode_seconds: 0.0,
         profile_branches: profile.total(),
         words: program.words.len(),
-        slots: decoded.slots.len(),
+        slots: decoded.slot_count(),
     };
     Ok(CompiledArtifact {
         request_key: stored_key,
@@ -956,5 +955,58 @@ impl<'a> Reader<'a> {
             5 => CmpOp::Ge,
             t => return Err(StoreError::Corrupt(format!("cmp tag {t}"))),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psb_core::MachineConfig;
+    use psb_sched::Model;
+
+    /// A store file may hold a word far wider than any machine issues;
+    /// loading it must not panic, and running it must be a typed error.
+    #[test]
+    fn a_word_of_256_stores_loads_and_fails_to_run() {
+        let store = Slot::alw(SlotOp::Op(Op::Store {
+            base: Src::imm(0),
+            offset: 0,
+            value: Src::imm(1),
+            tag: MemTag::ANY,
+        }));
+        let program = Arc::new(VliwProgram {
+            name: "wide-store-word".into(),
+            words: vec![
+                MultiOp::new(vec![store; 256]),
+                MultiOp::new(vec![Slot::alw(SlotOp::Halt)]),
+            ],
+            region_starts: vec![0],
+            num_conds: 1,
+            init_regs: vec![],
+            memory: MemImage::zeroed(8),
+            live_out: vec![],
+        });
+        let profile = Arc::new(EdgeProfile::default());
+        let sched = SchedConfig::new(Model::RegionPred);
+        let artifact = CompiledArtifact {
+            request_key: 7,
+            content_hash: ContentHash::new(
+                Arc::clone(&program),
+                Arc::clone(&profile),
+                sched.clone(),
+            ),
+            profile,
+            sched_stats: ScheduleStats::analyze(&program),
+            decoded: Arc::new(DecodedProgram::decode(&program)),
+            program,
+            stats: CompileStats::default(),
+        };
+        let loaded = decode_artifact(&encode_artifact(&artifact), 7, &sched)
+            .expect("a well-formed file loads");
+        let err = loaded.run(MachineConfig::default()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed program: word 0 has 256 slots, issue width is 4"
+        );
     }
 }

@@ -64,16 +64,6 @@ proptest! {
                     prop_assert_eq!(cached.content_hash, fresh.content_hash);
                     prop_assert_eq!(&cached.program, &fresh.program);
                     prop_assert_eq!(cached.decoded.as_ref(), fresh.decoded.as_ref());
-                    // Both arenas must also carry well-formed dispatch
-                    // lowering — the tabled engine trusts these indices.
-                    prop_assert!(
-                        cached.decoded.validate_dispatch().is_ok(),
-                        "cached arena fails dispatch validation under {}", model
-                    );
-                    prop_assert!(
-                        fresh.decoded.validate_dispatch().is_ok(),
-                        "fresh arena fails dispatch validation under {}", model
-                    );
                 }
                 (Err(a), Err(b)) => prop_assert_eq!(a, b, "paths fail differently"),
                 (cached, fresh) => prop_assert!(

@@ -57,15 +57,15 @@ pub enum CommitScan {
 /// also picks the commit pass ([`CommitScan`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
-    /// Drive the issue loop from the decoded arena: decode stamps every
-    /// word with a specialisation class, and the class picks an issue
-    /// path that screens operand hazards with one mask intersection and
-    /// skips the store/control prepasses and predicate evaluation that
-    /// cannot apply.  Live slots run through the same slot match as the
-    /// legacy engine.  The issue buffer is recycled across cycles, so
-    /// steady-state issue is allocation-free.  The commit pass is
-    /// indexed, and the cycle driver skips inert commit passes and stall
-    /// runs.
+    /// Drive normal-mode issue from the decoded arena: one mask
+    /// intersection screens a word's operand hazards, and the
+    /// store/control prepass runs only for words with a store or a
+    /// control transfer.  Live slots run through the same slot match as
+    /// the legacy engine.  The issue buffer is recycled across cycles, so
+    /// steady-state issue is allocation-free.  Recovery mode is rare, and
+    /// there the engine issues from the program text as the legacy one
+    /// does.  The commit pass is indexed, and the cycle driver skips inert
+    /// commit passes and stall runs.
     #[default]
     Tabled,
     /// The original issue loop: clone the current `MultiOp` each cycle
@@ -150,12 +150,6 @@ impl MachineConfig {
     /// The paper's base 4-issue machine with event recording enabled.
     pub fn with_events(mut self) -> MachineConfig {
         self.record_events = true;
-        self
-    }
-
-    /// Selects the memory timing model.
-    pub fn with_memory(mut self, memory: MemoryModel) -> MachineConfig {
-        self.memory = memory;
         self
     }
 

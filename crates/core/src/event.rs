@@ -224,11 +224,6 @@ impl EventLog {
     pub fn events(&self) -> &[Event] {
         &self.events
     }
-
-    /// Consumes the log, returning the recorded events.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
 }
 
 #[cfg(test)]

@@ -68,7 +68,7 @@ mod storebuf;
 
 pub use batch::{BatchReport, LaneOutcome};
 pub use config::{CommitScan, Engine, MachineConfig, ShadowMode};
-pub use decoded::{DecodedProgram, DecodedSlot, DecodedWord};
+pub use decoded::DecodedProgram;
 pub use event::{Event, EventLog, StateLoc};
 pub use invariant::{InvariantSink, InvariantViolation};
 pub use machine::{RunStats, VliwError, VliwMachine, VliwResult};

@@ -24,7 +24,7 @@
 //!    otherwise the candidate becomes the CCR and control advances.
 
 use crate::config::{CommitScan, Engine, MachineConfig};
-use crate::decoded::{word_class_index, DecodedProgram, NUM_WORD_CLASSES};
+use crate::decoded::DecodedProgram;
 use crate::event::{Event, EventLog, StateLoc};
 use crate::mem::MemorySystem;
 use crate::obs::{CycleSample, StallKind, TraceSink};
@@ -217,10 +217,11 @@ struct PendingStore {
 #[derive(Clone, Debug)]
 pub struct VliwMachine<'p, S: TraceSink = EventLog> {
     prog: &'p VliwProgram,
-    /// The program decoded once into dense `Copy` arenas; read every cycle
-    /// by [`Engine::Tabled`], ignored by [`Engine::Legacy`].  Shared
-    /// (`Arc`) so a compiled artifact's arena is borrowed by every machine
-    /// built over it instead of being re-lowered per construction.
+    /// The program decoded once into dense `Copy` arenas; read every
+    /// normal-mode cycle by [`Engine::Tabled`], ignored by
+    /// [`Engine::Legacy`].  Shared (`Arc`) so a compiled artifact's arena
+    /// is borrowed by every machine built over it instead of being
+    /// re-lowered per construction.
     decoded: Arc<DecodedProgram>,
     cfg: MachineConfig,
     regs: PredicatedRegFile,
@@ -277,10 +278,6 @@ enum StepOutcome {
     /// into a [`VliwResult`].
     Halted,
 }
-
-/// A per-class specialised word-issue path (an entry of
-/// `VliwMachine::WORD_NORMAL`).
-type WordIssueFn<'p, S> = fn(&mut VliwMachine<'p, S>) -> Result<IssueOutcome, VliwError>;
 
 impl<'p> VliwMachine<'p> {
     /// Creates a machine over `prog` with the default [`EventLog`] sink
@@ -345,15 +342,14 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     /// Creates a machine over `prog` that shares a pre-decoded arena
     /// instead of re-lowering the program at construction.  `decoded`
     /// must be the decoding of `prog` (a compiled artifact guarantees
-    /// this by construction).
+    /// this by construction).  [`DecodedProgram::decode`] is the only way
+    /// to build an arena, so its metadata is not re-checked here.
     ///
     /// # Errors
     ///
     /// [`VliwError::Malformed`] if the program fails validation, exceeds
-    /// the configured issue width or function-unit counts, the arena's
-    /// word count does not match the program's, or the arena's per-word
-    /// metadata fails [`DecodedProgram::validate_dispatch`] — a corrupted
-    /// word class is rejected here, at construction, never at issue time.
+    /// the configured issue width or function-unit counts, or the arena's
+    /// word count does not match the program's.
     pub fn with_sink_decoded(
         prog: &'p VliwProgram,
         decoded: Arc<DecodedProgram>,
@@ -366,9 +362,6 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 "pre-decoded arena does not match the program".to_string(),
             ));
         }
-        decoded
-            .validate_dispatch()
-            .map_err(|e| VliwError::Malformed(format!("pre-decoded arena rejected: {e}")))?;
         Ok(Self::build(prog, decoded, cfg, sink))
     }
 
@@ -602,9 +595,8 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
 
     /// The write-after-write half of [`operand_in_flight`] on the decoded
     /// arena: whether a live slot of `range` writes a register whose
-    /// in-flight write matures in a later cycle.  Shared by the tabled
-    /// engine's normal and recovery screens (their read-after-write half
-    /// stays mask-based on the fast path).
+    /// in-flight write matures in a later cycle.  The tabled engine's
+    /// read-after-write half stays mask-based.
     ///
     /// [`operand_in_flight`]: Self::operand_in_flight
     fn waw_in_flight_decoded(&self, range: std::ops::Range<usize>) -> bool {
@@ -1248,134 +1240,21 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     }
 
     // ------------------------------------------------------------------
-    // Tabled engine: word-class dispatch over the decoded arena.
-    //
-    // Decode stamps every word with its class (`DecodedWord::class`), and
-    // `WORD_NORMAL` holds one `wi_normal` instantiation per class, so the
-    // prepasses a class cannot need constant-fold away.  Live slots then
-    // go through the same `exec_slot_*` match as the legacy engine.
+    // Tabled engine: normal-mode issue over the decoded arena.  Recovery
+    // mode is rare and issues through `issue_recovery` on both engines.
     // ------------------------------------------------------------------
 
-    /// Specialised normal-mode issue paths, indexed by
-    /// [`DecodedWord::class`](crate::DecodedWord::class).  Each entry is
-    /// stored at its own `word_class_index`, so the table order cannot
-    /// drift from decode's.
-    const WORD_NORMAL: [WordIssueFn<'p, S>; NUM_WORD_CLASSES] = {
-        let mut t: [WordIssueFn<'p, S>; NUM_WORD_CLASSES] =
-            [Self::wi_normal::<false, false, false>; NUM_WORD_CLASSES];
-        t[word_class_index(true, false, false) as usize] = Self::wi_normal::<true, false, false>;
-        t[word_class_index(false, true, false) as usize] = Self::wi_normal::<false, true, false>;
-        t[word_class_index(true, true, false) as usize] = Self::wi_normal::<true, true, false>;
-        t[word_class_index(false, false, true) as usize] = Self::wi_normal::<false, false, true>;
-        t[word_class_index(true, false, true) as usize] = Self::wi_normal::<true, false, true>;
-        t[word_class_index(false, true, true) as usize] = Self::wi_normal::<false, true, true>;
-        t[word_class_index(true, true, true) as usize] = Self::wi_normal::<true, true, true>;
-        t
-    };
-
-    /// One normal-mode word-issue path, specialised by word class: `COND`
-    /// = any slot carries a conditional predicate, `STORE` = the word
-    /// contains store slots, `CONTROL` = it contains a control transfer.
-    /// Classes without a given feature skip that prepass entirely — e.g.
-    /// an all-`alw`, store-and-control-free word goes straight from the
-    /// mask hazard screen to executing its slots, evaluating no
-    /// predicate.
-    fn wi_normal<const COND: bool, const STORE: bool, const CONTROL: bool>(
-        &mut self,
-    ) -> Result<IssueOutcome, VliwError> {
+    /// Issues the word at PC in normal mode from the decoded arena, by
+    /// the rule of [`issue_normal`](Self::issue_normal): one mask
+    /// intersection screens the whole word for operand hazards, the
+    /// store/control prepass runs only for words that have a store or a
+    /// control transfer, and live slots go through the same
+    /// [`exec_slot_normal`](Self::exec_slot_normal) match.
+    fn issue_normal_tabled(&mut self) -> Result<IssueOutcome, VliwError> {
         let w = self.decoded.words[self.pc];
         let range = DecodedProgram::slot_range(&w);
         // Operand hazard: the union mask screens the whole word; only on a
         // hit does the precise, predicate-gated per-slot check run.
-        if !self.inflight.is_empty() {
-            let inflight = self.inflight_dest_mask();
-            if !w.src_union.intersect(inflight).is_empty() {
-                for i in range.clone() {
-                    let s = self.decoded.slots[i];
-                    if !s.src_mask.intersect(inflight).is_empty()
-                        && (!COND || s.pred.eval(&self.ccr) != Cond::False)
-                    {
-                        let kind = self.operand_stall();
-                        return Ok(IssueOutcome::Stalled(kind));
-                    }
-                }
-            }
-            if self.waw_in_flight_decoded(range.clone()) {
-                let kind = self.operand_stall();
-                return Ok(IssueOutcome::Stalled(kind));
-            }
-        }
-        if CONTROL || STORE {
-            if COND {
-                // Conditional predicates present: the full store/control
-                // prepass, as in `issue_normal`.
-                let mut store_count = 0;
-                for i in range.clone() {
-                    let s = self.decoded.slots[i];
-                    match s.op {
-                        SlotOp::Jump { .. } | SlotOp::Halt | SlotOp::CmpBr { .. }
-                            if CONTROL && s.pred.eval(&self.ccr) == Cond::Unspecified =>
-                        {
-                            return Err(self.control_unspecified_error(s.pred));
-                        }
-                        SlotOp::Op(Op::Store { .. })
-                            if STORE && s.pred.eval(&self.ccr) != Cond::False =>
-                        {
-                            store_count += 1;
-                        }
-                        _ => {}
-                    }
-                }
-                if STORE && self.sb.would_overflow(store_count) {
-                    self.stats.stall_sb_full += 1;
-                    return Ok(IssueOutcome::Stalled(StallKind::SbFull));
-                }
-            } else if STORE && self.sb.would_overflow(w.store_slots as usize) {
-                // Every predicate is `alw` (evaluates true), so every
-                // store slot counts and no control transfer can be
-                // unspecified — the prepass reduces to one overflow check
-                // against the pre-counted store slots.
-                self.stats.stall_sb_full += 1;
-                return Ok(IssueOutcome::Stalled(StallKind::SbFull));
-            }
-        }
-
-        let mut out = self.take_scratch();
-        self.stats.words_issued += 1;
-        for i in range {
-            let s = self.decoded.slots[i];
-            // An all-`alw` class has no predicate to evaluate: every slot
-            // is true.
-            let pv = if COND {
-                s.pred.eval(&self.ccr)
-            } else {
-                Cond::True
-            };
-            if pv == Cond::False {
-                self.stats.ops_squashed += 1;
-                continue;
-            }
-            self.exec_slot_normal(s.pred, s.op, pv == Cond::True, &mut out)?;
-        }
-        Ok(IssueOutcome::Issued(out))
-    }
-
-    /// Issues the word at PC in normal mode: the word's class selects a
-    /// specialised issue path from `WORD_NORMAL`.
-    #[inline]
-    fn issue_normal_tabled(&mut self) -> Result<IssueOutcome, VliwError> {
-        Self::WORD_NORMAL[self.decoded.words[self.pc].class as usize](self)
-    }
-
-    /// Issues the word at PC in recovery mode.  Recovery cycles are rare,
-    /// so there is one path for every word class: the screening
-    /// prepasses and the squash rule are those of
-    /// [`issue_recovery`](Self::issue_recovery), read from the decoded
-    /// arena (one mask intersection screens operand hazards, and the
-    /// store prepass is skipped for store-free words).
-    fn issue_recovery_tabled(&mut self, future: &Ccr) -> Result<IssueOutcome, VliwError> {
-        let w = self.decoded.words[self.pc];
-        let range = DecodedProgram::slot_range(&w);
         if !self.inflight.is_empty() {
             let inflight = self.inflight_dest_mask();
             if !w.src_union.intersect(inflight).is_empty() {
@@ -1394,14 +1273,19 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 return Ok(IssueOutcome::Stalled(kind));
             }
         }
-        if w.store_slots > 0 {
+        if w.prepass {
             let mut store_count = 0;
             for i in range.clone() {
                 let s = self.decoded.slots[i];
-                if let SlotOp::Op(Op::Store { .. }) = s.op {
-                    if s.pred.eval(&self.ccr) == Cond::Unspecified {
-                        store_count += 1;
+                let v = s.pred.eval(&self.ccr);
+                match s.op {
+                    SlotOp::Jump { .. } | SlotOp::Halt | SlotOp::CmpBr { .. }
+                        if v == Cond::Unspecified =>
+                    {
+                        return Err(self.control_unspecified_error(s.pred));
                     }
+                    SlotOp::Op(Op::Store { .. }) if v != Cond::False => store_count += 1,
+                    _ => {}
                 }
             }
             if self.sb.would_overflow(store_count) {
@@ -1415,15 +1299,11 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         for i in range {
             let s = self.decoded.slots[i];
             let pv = s.pred.eval(&self.ccr);
-            if pv != Cond::Unspecified {
-                // Category 1, as in `issue_recovery`.
-                if matches!(s.op, SlotOp::Jump { .. } | SlotOp::Halt) && pv == Cond::True {
-                    return Err(self.recovery_jump_true_error());
-                }
+            if pv == Cond::False {
                 self.stats.ops_squashed += 1;
                 continue;
             }
-            self.exec_slot_recovery(s.pred, s.op, future, &mut out)?;
+            self.exec_slot_normal(s.pred, s.op, pv == Cond::True, &mut out)?;
         }
         Ok(IssueOutcome::Issued(out))
     }
@@ -1574,13 +1454,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                             Engine::Tabled => self.issue_normal_tabled()?,
                             Engine::Legacy => self.issue_normal()?,
                         },
-                        Mode::Recovery { ref future, .. } => {
-                            let future = *future;
-                            match self.cfg.engine {
-                                Engine::Tabled => self.issue_recovery_tabled(&future)?,
-                                Engine::Legacy => self.issue_recovery(&future)?,
-                            }
-                        }
+                        Mode::Recovery { future, .. } => self.issue_recovery(&future)?,
                     }
                 }
             };

@@ -295,14 +295,6 @@ impl BenchReport {
         self.wall_seconds_total = 0.0;
         self.peak_rss_kb = 0;
     }
-
-    /// The kernel-suite throughput of `engine`, if measured.
-    pub fn kernel_cycles_per_second(&self, engine: &str) -> Option<f64> {
-        self.kernel_suite
-            .iter()
-            .find(|a| a.engine == engine)
-            .map(|a| a.cycles_per_second)
-    }
 }
 
 /// One point of the fixed matrix, before measurement.

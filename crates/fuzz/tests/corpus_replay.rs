@@ -40,8 +40,8 @@ fn corpus_replays_clean_on_every_model() {
 #[test]
 fn corpus_replays_clean_on_the_tabled_engine() {
     // Pin the tabled engine explicitly (independent of the workspace
-    // default) so the word-class issue path always replays the full
-    // regression corpus, recoveries included.
+    // default) so its arena-driven normal-mode issue path always replays
+    // the full regression corpus, recoveries included.
     let corpus = load_corpus(&corpus_dir()).expect("regression corpus present");
     let cfg = DiffConfig {
         engine: Engine::Tabled,

@@ -1,12 +1,12 @@
-//! Differential proof that the tabled issue path is observably identical
-//! to the legacy one.
+//! Differential proof that the tabled engine is observably identical to
+//! the legacy one.
 //!
-//! The tabled engine replaces the legacy per-cycle `MultiOp` clone and
-//! `SlotOp::srcs()` walk with a decoded arena and mask screens, and picks
-//! one of eight word-class issue paths per word.  The legacy engine reads
-//! the program itself, never the arena, so everything that decides which
-//! slots issue, and when, is an independent reference; the slot match
-//! both engines call is checked by the scalar golden model instead.  This property holds
+//! In normal mode the tabled engine replaces the legacy per-cycle
+//! `MultiOp` clone and `SlotOp::srcs()` walk with a decoded arena and
+//! mask screens.  The legacy engine reads the program itself, never the
+//! arena, so everything that decides which normal-mode slots issue, and
+//! when, is an independent reference; the slot match both engines call
+//! is checked by the scalar golden model instead.  This property holds
 //! the two to the strongest available equality: on randomly generated
 //! fuzz programs (speculative exceptions, recoveries, region exits
 //! included), both engines must produce **byte-identical event logs**
@@ -18,7 +18,10 @@
 //! every skipped cycle lands in the stall bucket the reference charges.
 //! And each engine picks its own commit pass, the tabled one indexed and
 //! the legacy one the paper's naive scan, so the fast path's wakeup
-//! lists are checked against a reference that keeps none.
+//! lists are checked against a reference that keeps none.  Recovery-mode
+//! words issue through the same code on both engines, but the commit
+//! passes, the recovery-exit pass and the cycle driver still differ
+//! there, so the corpus test requires its inputs to recover.
 
 use proptest::prelude::*;
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};
@@ -155,6 +158,7 @@ fn corpus_cases_are_engine_independent() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/regressions");
     let cases = psb_fuzz::load_corpus(&dir).expect("corpus loads");
     assert!(!cases.is_empty(), "corpus must not be empty");
+    let mut recoveries = 0;
     for (path, case) in &cases {
         let name = path.display();
         let prog = &case.program;
@@ -199,7 +203,12 @@ fn corpus_cases_are_engine_independent() {
                     legacy, tabled,
                     "{name}: legacy/tabled divergence under {model} memory {memory}"
                 );
+                recoveries += legacy.recoveries;
             }
         }
     }
+    assert!(
+        recoveries > 0,
+        "the corpus must drive both engines through recovery mode"
+    );
 }

@@ -270,14 +270,6 @@ impl Op {
         }
     }
 
-    /// The CCR entry written by this op, if any.
-    pub fn def_cond(&self) -> Option<CondReg> {
-        match self {
-            Op::SetCond { c, .. } => Some(*c),
-            _ => None,
-        }
-    }
-
     /// The source operands read by this op.
     pub fn srcs(&self) -> Vec<Src> {
         match self {

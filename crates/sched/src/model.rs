@@ -65,11 +65,6 @@ impl Model {
     pub fn from_name(name: &str) -> Option<Model> {
         Model::ALL.into_iter().find(|m| m.name() == name)
     }
-
-    /// Whether the model uses the predicated-state-buffering hardware.
-    pub fn uses_buffering(self) -> bool {
-        matches!(self, Model::Boost | Model::TracePred | Model::RegionPred)
-    }
 }
 
 impl fmt::Display for Model {

@@ -73,18 +73,6 @@ impl Scope {
     pub fn num_conds(&self) -> usize {
         self.cond_of_branch.len()
     }
-
-    /// Whether `anc` is an ancestor of `node` (reflexive).
-    pub fn is_ancestor(&self, anc: usize, node: usize) -> bool {
-        let mut cur = Some(node);
-        while let Some(i) = cur {
-            if i == anc {
-                return true;
-            }
-            cur = self.nodes[i].parent;
-        }
-        false
-    }
 }
 
 /// Scope-growth parameters; each scheduling model provides its own.

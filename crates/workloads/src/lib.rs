@@ -105,11 +105,6 @@ pub fn all_workloads_sized(seed: u64, n: usize) -> Vec<Workload> {
     ]
 }
 
-/// All six kernels at the default size.
-pub fn all_workloads(seed: u64) -> Vec<Workload> {
-    all_workloads_sized(seed, DEFAULT_SIZE)
-}
-
 /// Looks a kernel up by its Table 2 name.
 pub fn by_name(name: &str, seed: u64, n: usize) -> Option<Workload> {
     match name {
