@@ -1,6 +1,7 @@
 //! Microbenchmarks of the predicating mechanism itself: the hardware
 //! primitives the paper argues are cheap (Section 4.2.1's "three-gate
-//! delay" match operation), plus simulator throughput on real kernels.
+//! delay" match operation), plus simulator throughput on real kernels,
+//! scalar and VLIW.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psb_compile::{
@@ -9,7 +10,7 @@ use psb_compile::{
 use psb_core::{
     CommitScan, CountersSink, EventLog, MachineConfig, NullSink, PredicatedRegFile, ShadowMode,
 };
-use psb_eval::{parallel_map, parallel_map_t};
+use psb_eval::{parallel_map, parallel_map_t, EvalParams, BENCHMARKS};
 use psb_isa::{Ccr, CondReg, Predicate, Reg};
 use psb_scalar::{ScalarConfig, ScalarMachine};
 use psb_sched::{Model, SchedConfig};
@@ -106,6 +107,21 @@ fn machine_throughput(c: &mut Criterion, name: &'static str) {
 fn bench_machine(c: &mut Criterion) {
     machine_throughput(c, "grep");
     machine_throughput(c, "li");
+}
+
+/// The scalar interpreter on each evaluation program at the quick size:
+/// the golden run every evaluation point starts from, under the default
+/// configuration (branch trace recorded).
+fn bench_scalar(c: &mut Criterion) {
+    let params = EvalParams::quick();
+    for name in BENCHMARKS {
+        let w = psb_workloads::by_name(name, params.eval_seed, params.size).unwrap();
+        c.bench_function(format!("scalar_run_{name}"), |b| {
+            b.iter(|| {
+                black_box(ScalarMachine::new(black_box(&w.program), ScalarConfig::default()).run())
+            })
+        });
+    }
 }
 
 /// Guard for the observability tentpole: a `NullSink` machine must cost
@@ -270,7 +286,7 @@ criterion_group! {
     name = mechanism;
     config = Criterion::default().sample_size(20);
     targets = bench_predicate_eval, bench_regfile_commit, bench_commit_scan,
-        bench_machine, bench_trace_sink_overhead, bench_telemetry_pmap_overhead,
+        bench_machine, bench_scalar, bench_trace_sink_overhead, bench_telemetry_pmap_overhead,
         bench_telemetry_cache_hit_overhead, bench_compile, bench_compile_scaling
 }
 criterion_main!(mechanism);

@@ -2,8 +2,8 @@
 
 use crate::json::{Json, ToJson};
 use crate::runner::{
-    geometric_mean, parallel_map, run_scalar, run_workload, workload_pair, BenchResult, EvalParams,
-    BENCHMARKS,
+    geometric_mean, parallel_map, point_speedups, run_grid, run_points, run_scalar, workload_pair,
+    BenchResult, EvalParams, BENCHMARKS,
 };
 use psb_compile::{compile_trained, ArtifactCache, PointError, PointJob};
 use psb_isa::Resources;
@@ -109,16 +109,10 @@ impl ToJson for FigureResult {
 }
 
 fn figure(models: &[Model], params: &EvalParams) -> FigureResult {
-    let cache = ArtifactCache::new();
-    let benches: Vec<BenchResult> = parallel_map(&BENCHMARKS, params.jobs, |n| {
-        run_workload(n, models, params, &cache)
-    });
-    let geomeans = models
-        .iter()
-        .map(|&m| {
-            let sp: Vec<f64> = benches.iter().filter_map(|b| b.speedup_of(m)).collect();
-            geometric_mean(&sp)
-        })
+    let points: Vec<_> = models.iter().map(|&m| (m, params.clone())).collect();
+    let benches = run_grid(params, &points, &ArtifactCache::new());
+    let geomeans = (0..models.len())
+        .map(|i| geometric_mean(&point_speedups(&benches, i)))
         .collect();
     FigureResult {
         models: models.iter().map(|m| m.name().to_string()).collect(),
@@ -196,35 +190,33 @@ impl ToJson for Fig8Result {
 /// resources) under speculation depths 1, 2, 4 and 8 conditions, using
 /// the region-predicating model with an 8-entry CCR.
 pub fn fig8(params: &EvalParams) -> Fig8Result {
-    // The full (width × depth × benchmark) grid as one flat work list, so
-    // the thread pool stays busy across cell boundaries.
-    let points: Vec<(usize, usize, &str)> = [2usize, 4, 8]
-        .iter()
-        .flat_map(|&w| {
-            [1usize, 2, 4, 8]
-                .iter()
-                .flat_map(move |&d| BENCHMARKS.iter().map(move |&n| (w, d, n)))
+    let points: Vec<_> = [2usize, 4, 8]
+        .into_iter()
+        .flat_map(|width| {
+            [1usize, 2, 4, 8].map(|depth| {
+                let p = EvalParams {
+                    issue_width: width,
+                    resources: Resources::full_issue(width),
+                    num_conds: 8,
+                    depth,
+                    ..params.clone()
+                };
+                (Model::RegionPred, p)
+            })
         })
         .collect();
-    let cache = ArtifactCache::new();
-    let speedups = parallel_map(&points, params.jobs, |&(width, depth, name)| {
-        let p = EvalParams {
-            issue_width: width,
-            resources: Resources::full_issue(width),
-            num_conds: 8,
-            depth,
-            ..params.clone()
-        };
-        run_workload(name, &[Model::RegionPred], &p, &cache).models[0].speedup
-    });
+    let benches = run_grid(params, &points, &ArtifactCache::new());
     let cells = points
-        .chunks(BENCHMARKS.len())
-        .zip(speedups.chunks(BENCHMARKS.len()))
-        .map(|(ps, sp)| Fig8Cell {
-            width: ps[0].0,
-            depth: ps[0].1,
-            geomean: geometric_mean(sp),
-            speedups: sp.to_vec(),
+        .iter()
+        .enumerate()
+        .map(|(i, (_, p))| {
+            let speedups = point_speedups(&benches, i);
+            Fig8Cell {
+                width: p.issue_width,
+                depth: p.depth,
+                geomean: geometric_mean(&speedups),
+                speedups,
+            }
         })
         .collect();
     Fig8Result { cells }
@@ -265,14 +257,9 @@ fn ablation(
 ) -> AblationResult {
     let mut vparams = params.clone();
     variant(&mut vparams);
-    let cache = ArtifactCache::new();
-    let pairs = parallel_map(&BENCHMARKS, params.jobs, |n| {
-        (
-            run_workload(n, &[model], params, &cache).models[0].speedup,
-            run_workload(n, &[model], &vparams, &cache).models[0].speedup,
-        )
-    });
-    let (base, var): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+    let points = [(model, params.clone()), (model, vparams)];
+    let benches = run_grid(params, &points, &ArtifactCache::new());
+    let (base, var) = (point_speedups(&benches, 0), point_speedups(&benches, 1));
     AblationResult {
         label: label.to_string(),
         benches: BENCHMARKS.iter().map(|s| s.to_string()).collect(),
@@ -354,18 +341,18 @@ impl InteractionResult {
 /// ability is not beneficial" with squashing hardware only — the win
 /// appears when unconstrained motion and buffering are combined.
 pub fn interaction(params: &EvalParams) -> InteractionResult {
-    let cache = ArtifactCache::new();
-    let geo = |model: Model| {
-        let sp = parallel_map(&BENCHMARKS, params.jobs, |n| {
-            run_workload(n, &[model], params, &cache).models[0].speedup
-        });
-        geometric_mean(&sp)
-    };
+    let models = [
+        Model::Trace,
+        Model::RegionSquash,
+        Model::TracePred,
+        Model::RegionPred,
+    ];
+    let g = figure(&models, params).geomeans;
     InteractionResult {
-        trace_squash: geo(Model::Trace),
-        region_squash: geo(Model::RegionSquash),
-        trace_buffered: geo(Model::TracePred),
-        region_buffered: geo(Model::RegionPred),
+        trace_squash: g[0],
+        region_squash: g[1],
+        trace_buffered: g[2],
+        region_buffered: g[3],
     }
 }
 
@@ -448,39 +435,38 @@ impl ToJson for SensitivityRow {
 /// taxes every region transfer) and neither is store-buffer bound at the
 /// paper's 16 entries.
 pub fn sensitivity(params: &EvalParams) -> Vec<SensitivityRow> {
-    // One cache across every setting: the jump-penalty and store-buffer
-    // sweeps vary only machine parameters, so all their rows share the
-    // same artifacts and only the first row compiles.
-    let cache = ArtifactCache::new();
-    let mut rows = Vec::new();
-    let mut measure = |setting: String, p: &EvalParams| {
-        let geo = |model: Model| {
-            let sp = parallel_map(&BENCHMARKS, params.jobs, |n| {
-                run_workload(n, &[model], p, &cache).models[0].speedup
-            });
-            geometric_mean(&sp)
-        };
-        rows.push(SensitivityRow {
-            setting,
-            trace_pred: geo(Model::TracePred),
-            region_pred: geo(Model::RegionPred),
-        });
-    };
-    for penalty in [0u64, 1, 2] {
+    let penalties = [0u64, 1, 2].map(|penalty| {
         let p = EvalParams {
             jump_penalty: penalty,
             ..params.clone()
         };
-        measure(format!("taken-jump penalty = {penalty}"), &p);
-    }
-    for buf in [2usize, 4, 16] {
+        (format!("taken-jump penalty = {penalty}"), p)
+    });
+    let buffers = [2usize, 4, 16].map(|buf| {
         let p = EvalParams {
             store_buffer: buf,
             ..params.clone()
         };
-        measure(format!("store buffer = {buf} entries"), &p);
-    }
-    rows
+        (format!("store buffer = {buf} entries"), p)
+    });
+    let settings: Vec<(String, EvalParams)> = penalties.into_iter().chain(buffers).collect();
+    let points: Vec<_> = settings
+        .iter()
+        .flat_map(|(_, p)| [Model::TracePred, Model::RegionPred].map(|m| (m, p.clone())))
+        .collect();
+    // The settings vary only machine parameters, so every row shares the
+    // first row's artifacts: each benchmark compiles twice.
+    let benches = run_grid(params, &points, &ArtifactCache::new());
+    let geo = |i| geometric_mean(&point_speedups(&benches, i));
+    settings
+        .into_iter()
+        .enumerate()
+        .map(|(i, (setting, _))| SensitivityRow {
+            setting,
+            trace_pred: geo(2 * i),
+            region_pred: geo(2 * i + 1),
+        })
+        .collect()
 }
 
 /// One row of the code-size report.
@@ -564,11 +550,12 @@ pub fn ablation_unroll(params: &EvalParams) -> AblationResult {
     };
     let cache = ArtifactCache::new();
     let pairs = parallel_map(&BENCHMARKS, params.jobs, |&name| {
-        let rolled = run_workload(name, &[Model::RegionPred], &wide, &cache);
+        let pair = workload_pair(name, &wide);
+        let rolled = run_points(&pair, &[(Model::RegionPred, wide.clone())], &cache);
 
         // The unrolled variant: transform both training and evaluation
         // programs before profiling and scheduling.
-        let (train, eval) = workload_pair(name, &wide);
+        let (train, eval) = pair;
         let train_u = unroll_loops(&train.program, 3);
         let eval_u = unroll_loops(&eval.program, 3);
         let fail = |e: PointError| -> ! { panic!("{name}/unrolled: {e}") };

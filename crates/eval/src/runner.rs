@@ -277,12 +277,29 @@ pub fn run_workload(
     params: &EvalParams,
     cache: &ArtifactCache,
 ) -> BenchResult {
-    let (train, eval) = workload_pair(name, params);
+    let points: Vec<_> = models.iter().map(|&m| (m, params.clone())).collect();
+    run_points(&workload_pair(name, params), &points, cache)
+}
+
+/// Runs every `(model, params)` point on one workload pair as one point
+/// job: a single golden run of the evaluation program, then a compile
+/// and a golden-checked machine run per point.  `models[i]` of the
+/// result is point `i`.
+///
+/// # Panics
+///
+/// As [`run_workload`].
+pub(crate) fn run_points(
+    (train, eval): &(Workload, Workload),
+    points: &[(Model, EvalParams)],
+    cache: &ArtifactCache,
+) -> BenchResult {
+    let name = eval.name;
     let job = PointJob::new(&eval.program, Some(&train.program), ScalarConfig::default())
         .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let models = models
+    let models = points
         .iter()
-        .map(|&model| {
+        .map(|&(model, ref params)| {
             let fail = |e: PointError| -> ! { panic!("{name}/{model}: {e}") };
             let (art, _) = job
                 .compile(params.sched_config(model), cache, None, &NullTelemetry)
@@ -310,6 +327,35 @@ pub fn run_workload(
         scalar_cycles: job.golden().cycles,
         models,
     }
+}
+
+/// Runs an experiment's `(model, params)` points on every benchmark, one
+/// benchmark per task of `params.jobs` workers, so each benchmark's
+/// workload pair is generated and its golden run taken once however many
+/// points share them.  Entry `b`'s `models[i]` is point `i` on
+/// `BENCHMARKS[b]`.
+///
+/// # Panics
+///
+/// Panics if a point's seeds or size differ from `params`' (it would
+/// need another workload pair), and as [`run_workload`].
+pub(crate) fn run_grid(
+    params: &EvalParams,
+    points: &[(Model, EvalParams)],
+    cache: &ArtifactCache,
+) -> Vec<BenchResult> {
+    let pair_of = |p: &EvalParams| (p.train_seed, p.eval_seed, p.size);
+    for (model, p) in points {
+        assert_eq!(pair_of(p), pair_of(params), "{model} point off the grid");
+    }
+    parallel_map(&BENCHMARKS, params.jobs, |name| {
+        run_points(&workload_pair(name, params), points, cache)
+    })
+}
+
+/// Point `i`'s speedup on every benchmark of a [`run_grid`] result.
+pub(crate) fn point_speedups(benches: &[BenchResult], i: usize) -> Vec<f64> {
+    benches.iter().map(|b| b.models[i].speedup).collect()
 }
 
 /// The paper's six benchmark names in Table 2 order.
@@ -461,6 +507,58 @@ mod tests {
         assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
         assert_eq!(geometric_mean(&[]), 1.0);
         assert!((geometric_mean(&[3.0]) - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_grid_matches_one_run_workload_per_point() {
+        let params = EvalParams {
+            size: 96,
+            ..EvalParams::default()
+        };
+        let points: Vec<(Model, EvalParams)> = [(2, 1), (2, 4), (4, 1), (4, 4)]
+            .into_iter()
+            .map(|(width, depth)| {
+                let p = EvalParams {
+                    issue_width: width,
+                    resources: Resources::full_issue(width),
+                    num_conds: 8,
+                    depth,
+                    ..params.clone()
+                };
+                (Model::RegionPred, p)
+            })
+            .collect();
+        let (grid_cache, point_cache) = (ArtifactCache::new(), ArtifactCache::new());
+        let grid = run_grid(&params, &points, &grid_cache);
+        assert_eq!(grid.len(), BENCHMARKS.len());
+        for (bench, name) in grid.iter().zip(BENCHMARKS) {
+            for (i, (model, p)) in points.iter().enumerate() {
+                let one = run_workload(name, &[*model], p, &point_cache);
+                assert_eq!(bench.models[i], one.models[0], "{name} point {i}");
+                assert_eq!(
+                    (&bench.name, bench.static_len, bench.scalar_cycles),
+                    (&one.name, one.static_len, one.scalar_cycles)
+                );
+            }
+        }
+        let (g, p) = (grid_cache.stats(), point_cache.stats());
+        assert_eq!((g.misses, g.profile_misses), (p.misses, p.profile_misses));
+        assert_eq!((g.misses, g.profile_misses), (24, 6));
+    }
+
+    #[test]
+    #[should_panic(expected = "region-pred point off the grid")]
+    fn a_grid_point_needs_the_experiments_workload_pair() {
+        let params = EvalParams::quick();
+        let other = EvalParams {
+            eval_seed: params.eval_seed + 1,
+            ..params.clone()
+        };
+        run_grid(
+            &params,
+            &[(Model::RegionPred, other)],
+            &ArtifactCache::new(),
+        );
     }
 
     #[test]

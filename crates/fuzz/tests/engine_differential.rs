@@ -21,14 +21,24 @@
 //! lists are checked against a reference that keeps none.  Recovery-mode
 //! words issue through the same code on both engines, but the commit
 //! passes, the recovery-exit pass and the cycle driver still differ
-//! there, so the corpus test requires its inputs to recover.
+//! there, so the corpus test requires its inputs to recover.  Two
+//! hand-written programs cover the tabled store/control prepass, which
+//! neither generated nor corpus cases reach: a store burst that fills
+//! the store buffer, and a jump whose condition its own word sets.
 
 use proptest::prelude::*;
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};
-use psb_core::{Engine, MachineConfig, MemoryModel, ShadowMode, VliwResult};
+use psb_core::{
+    CycleSample, Engine, Event, MachineConfig, MemoryModel, ShadowMode, TraceSink, VliwMachine,
+    VliwResult,
+};
 use psb_fuzz::{gen_case, memory_rotation};
+use psb_isa::{
+    CmpOp, CondReg, MemImage, MemTag, MultiOp, Op, Predicate, Slot, SlotOp, Src, VliwProgram,
+};
 use psb_scalar::{ScalarConfig, ScalarMachine};
 use psb_sched::{Model, SchedConfig};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 /// A small machine grid derived from the seed: shallow store-buffer
@@ -211,4 +221,114 @@ fn corpus_cases_are_engine_independent() {
         recoveries > 0,
         "the corpus must drive both engines through recovery mode"
     );
+}
+
+/// An event sink writing to a log outside the machine, so a run that
+/// ends in an error still leaves its events behind.
+struct SharedLog<'a>(&'a RefCell<Vec<Event>>);
+
+impl TraceSink for SharedLog<'_> {
+    fn sample_enabled(&self) -> bool {
+        false
+    }
+
+    fn record(&mut self, ev: Event) {
+        self.0.borrow_mut().push(ev);
+    }
+
+    fn sample(&mut self, _: &CycleSample) {}
+}
+
+/// Runs `prog` under `cfg` on `engine` through [`VliwMachine::with_sink`]
+/// and returns the result (or the error's text) with the event log's
+/// text.
+fn run_logged(
+    prog: &VliwProgram,
+    cfg: &MachineConfig,
+    engine: Engine,
+) -> (Result<VliwResult, String>, String) {
+    let log = RefCell::new(Vec::new());
+    let cfg = MachineConfig {
+        engine,
+        record_events: true,
+        ..cfg.clone()
+    };
+    let res = VliwMachine::with_sink(prog, cfg, SharedLog(&log))
+        .and_then(VliwMachine::run_into_sink)
+        .map(|(res, _)| res)
+        .map_err(|e| e.to_string());
+    (res, format!("{:?}", log.into_inner()))
+}
+
+/// The store burst of the machine test `store_buffer_full_stalls` (four
+/// stores in two words into a two-entry buffer that retires one store a
+/// cycle) and the same-word jump of `unresolvable_jump_predicate_is_malformed`
+/// (a jump on a condition its own word sets, unspecified at issue): both
+/// engines must stall, or fail, alike, with byte-identical event logs.
+#[test]
+fn store_buffer_full_and_unspecified_jump_are_engine_independent() {
+    let prog = |words: Vec<Vec<Slot>>, region_starts| VliwProgram {
+        name: "prepass".into(),
+        words: words.into_iter().map(MultiOp::new).collect(),
+        region_starts,
+        num_conds: 4,
+        init_regs: vec![],
+        memory: MemImage::zeroed(64),
+        live_out: vec![],
+    };
+    let store = |addr, v| {
+        Slot::alw(SlotOp::Op(Op::Store {
+            base: Src::imm(addr),
+            offset: 0,
+            value: Src::imm(v),
+            tag: MemTag::ANY,
+        }))
+    };
+    let halt = || vec![Slot::alw(SlotOp::Halt)];
+    let burst = prog(
+        vec![
+            vec![store(8, 1), store(9, 2)],
+            vec![store(10, 3), store(11, 4)],
+            halt(),
+        ],
+        vec![0],
+    );
+    let mut small_buffer = MachineConfig {
+        store_buffer_size: 2,
+        retire_per_cycle: 1,
+        ..MachineConfig::two_issue()
+    };
+    small_buffer.resources.store = 2;
+    let c0 = CondReg::new(0);
+    let set_c0 = SlotOp::Op(Op::SetCond {
+        c: c0,
+        cmp: CmpOp::Eq,
+        a: Src::imm(0),
+        b: Src::imm(0),
+    });
+    let jump_on_c0 = Slot::new(Predicate::always().and_pos(c0), SlotOp::Jump { target: 1 });
+    let jump = prog(
+        vec![vec![Slot::alw(set_c0), jump_on_c0], halt()],
+        vec![0, 1],
+    );
+
+    let (legacy, tabled) = (
+        run_logged(&burst, &small_buffer, Engine::Legacy),
+        run_logged(&burst, &small_buffer, Engine::Tabled),
+    );
+    assert_eq!(legacy, tabled, "store burst");
+    let res = legacy.0.expect("the store burst runs");
+    assert!(
+        res.stall_sb_full > 0,
+        "the burst must fill the store buffer"
+    );
+
+    let two_issue = MachineConfig::two_issue();
+    let (legacy, tabled) = (
+        run_logged(&jump, &two_issue, Engine::Legacy),
+        run_logged(&jump, &two_issue, Engine::Tabled),
+    );
+    assert_eq!(legacy, tabled, "same-word jump");
+    let err = legacy.0.expect_err("the same-word jump is malformed");
+    assert!(err.contains("unspecified at issue"), "{err}");
 }

@@ -28,20 +28,12 @@ impl Liveness {
         for (i, b) in prog.blocks.iter().enumerate() {
             let (mut uses, mut defs) = (RegSet::EMPTY, RegSet::EMPTY);
             for op in &b.instrs {
-                for r in op.used_regs() {
-                    if !defs.contains(r) {
-                        uses.insert(r);
-                    }
-                }
+                uses = uses.union(op.used_regs().minus(defs));
                 if let Some(d) = op.def_reg() {
                     defs.insert(d);
                 }
             }
-            for r in b.term.used_regs() {
-                if !defs.contains(r) {
-                    uses.insert(r);
-                }
-            }
+            uses = uses.union(b.term.used_regs().minus(defs));
             use_set[i] = uses;
             def_set[i] = defs;
         }

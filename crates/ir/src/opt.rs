@@ -70,10 +70,7 @@ pub fn dead_code_eliminate(prog: &mut ScalarProgram) -> usize {
             if !cfg.is_reachable(id) {
                 continue;
             }
-            let mut live = lv.live_out(id);
-            for r in block.term.used_regs() {
-                live.insert(r);
-            }
+            let mut live = lv.live_out(id).union(block.term.used_regs());
             let mut keep: Vec<bool> = vec![true; block.instrs.len()];
             for (j, op) in block.instrs.iter().enumerate().rev() {
                 let dead = match op.def_reg() {
@@ -90,9 +87,7 @@ pub fn dead_code_eliminate(prog: &mut ScalarProgram) -> usize {
                 if let Some(d) = op.def_reg() {
                     live.remove(d);
                 }
-                for r in op.used_regs() {
-                    live.insert(r);
-                }
+                live = live.union(op.used_regs());
             }
             if changed {
                 let mut it = keep.iter();

@@ -1,6 +1,7 @@
 //! The operation set shared by scalar and VLIW programs.
 
 use crate::reg::{CondReg, Reg};
+use crate::regset::RegSet;
 
 /// ALU operations.  Semantics are on two's-complement `i64` values; shifts
 /// mask the shift amount to six bits.
@@ -171,6 +172,12 @@ impl Src {
         }
     }
 
+    /// The register read by this source as a set: empty for an immediate.
+    #[inline]
+    pub(crate) fn reg_set(&self) -> RegSet {
+        self.as_reg().map_or(RegSet::EMPTY, RegSet::of)
+    }
+
     /// Returns a copy reading the same register with the shadow bit set to
     /// `shadow`; immediates are returned unchanged.
     #[must_use]
@@ -281,9 +288,15 @@ impl Op {
         }
     }
 
-    /// The registers read by this op (immediates skipped, duplicates kept).
-    pub fn used_regs(&self) -> Vec<Reg> {
-        self.srcs().iter().filter_map(Src::as_reg).collect()
+    /// The registers read by this op, as a set (immediates skipped).
+    #[inline]
+    pub fn used_regs(&self) -> RegSet {
+        match self {
+            Op::Alu { a, b, .. } | Op::SetCond { a, b, .. } => a.reg_set().union(b.reg_set()),
+            Op::Store { base, value, .. } => base.reg_set().union(value.reg_set()),
+            Op::Copy { src, .. } | Op::Load { base: src, .. } => src.reg_set(),
+            Op::Nop => RegSet::EMPTY,
+        }
     }
 
     /// Rewrites every register source via `f` (e.g. for renaming or setting
@@ -438,7 +451,7 @@ mod tests {
             b: Src::imm(7),
         };
         assert_eq!(op.def_reg(), Some(r(3)));
-        assert_eq!(op.used_regs(), vec![r(1)]);
+        assert_eq!(op.used_regs(), RegSet::of(r(1)));
 
         let st = Op::Store {
             base: Src::reg(r(2)),
@@ -447,7 +460,7 @@ mod tests {
             tag: MemTag(1),
         };
         assert_eq!(st.def_reg(), None);
-        assert_eq!(st.used_regs(), vec![r(2), r(5)]);
+        assert_eq!(st.used_regs(), RegSet::of(r(2)).union(RegSet::of(r(5))));
         assert!(st.is_mem() && st.is_unsafe());
     }
 

@@ -19,6 +19,7 @@ impl RegSet {
     pub const EMPTY: RegSet = RegSet(0);
 
     /// A singleton set.
+    #[inline]
     pub fn of(r: Reg) -> RegSet {
         RegSet(1 << r.index())
     }

@@ -2,6 +2,7 @@
 
 use crate::op::{Op, Src};
 use crate::reg::Reg;
+use crate::regset::RegSet;
 use crate::CmpOp;
 use std::fmt;
 
@@ -82,11 +83,12 @@ impl Terminator {
         }
     }
 
-    /// The registers read by the terminator.
-    pub fn used_regs(&self) -> Vec<Reg> {
+    /// The registers read by the terminator, as a set.
+    #[inline]
+    pub fn used_regs(&self) -> RegSet {
         match self {
-            Terminator::Branch { a, b, .. } => [a, b].iter().filter_map(|s| s.as_reg()).collect(),
-            _ => vec![],
+            Terminator::Branch { a, b, .. } => a.reg_set().union(b.reg_set()),
+            _ => RegSet::EMPTY,
         }
     }
 }

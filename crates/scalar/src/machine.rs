@@ -211,7 +211,7 @@ impl<'p> ScalarMachine<'p> {
                     return Err(RunError::CycleLimit(self.config.max_cycles));
                 }
                 if let Some(p) = pending_load.take() {
-                    if op.used_regs().contains(&p) {
+                    if op.used_regs().contains(p) {
                         cycles += self.config.load_use_stall;
                     }
                 }
@@ -266,7 +266,7 @@ impl<'p> ScalarMachine<'p> {
             }
 
             if let Some(p) = pending_load.take() {
-                if b.term.used_regs().contains(&p) {
+                if b.term.used_regs().contains(p) {
                     cycles += self.config.load_use_stall;
                 }
             }
@@ -405,6 +405,114 @@ mod tests {
 
         assert_eq!(tight.cycles, 3); // load + stall + add
         assert_eq!(gapped.cycles, 3); // load + add + add, no stall
+    }
+
+    #[test]
+    fn load_use_interlock_covers_every_reader() {
+        // `rd = mem[4]` (mem[4] = 5, a valid address), then `ops`, then
+        // `term` into a halting block.  The load and every op, jump or
+        // untaken branch take one cycle and a halt none, so a reader of
+        // `rd` right after the load runs 3 cycles and anything else 2.
+        let cycles = |rd: Reg, ops: &[Op], term: Terminator| {
+            let mut pb = ProgramBuilder::new("reader");
+            pb.memory_size(16);
+            pb.mem_cell(4, 5);
+            let (a, _) = (pb.new_block(), pb.new_block());
+            let load = pb.block_mut(a).load(rd, 4, 0, MemTag::ANY);
+            ops.iter().fold(load, |b, &op| b.push(op)).halt();
+            pb.set_entry(a);
+            let mut p = pb.finish().unwrap();
+            p.blocks[a.index()].term = term;
+            ScalarMachine::run_to_completion(&p).unwrap().cycles
+        };
+        let (r1, imm, tag) = (Src::reg(r(1)), Src::imm(1), MemTag::ANY);
+        let add = |a, b| Op::Alu {
+            op: AluOp::Add,
+            rd: r(2),
+            a,
+            b,
+        };
+        let branch = |a, b| Terminator::Branch {
+            cmp: CmpOp::Eq,
+            a,
+            b,
+            taken: BlockId(1),
+            not_taken: BlockId(1),
+        };
+        let halt = Terminator::Halt;
+        let cases = [
+            ("alu a", r(1), vec![add(r1, imm)], halt, 3),
+            ("alu b", r(1), vec![add(imm, r1)], halt, 3),
+            ("alu a and b", r(1), vec![add(r1, r1)], halt, 3),
+            (
+                "copy source",
+                r(1),
+                vec![Op::Copy { rd: r(2), src: r1 }],
+                halt,
+                3,
+            ),
+            (
+                "load base",
+                r(1),
+                vec![Op::Load {
+                    rd: r(2),
+                    base: r1,
+                    offset: 0,
+                    tag,
+                }],
+                halt,
+                3,
+            ),
+            (
+                "store base",
+                r(1),
+                vec![Op::Store {
+                    base: r1,
+                    offset: 0,
+                    value: imm,
+                    tag,
+                }],
+                halt,
+                3,
+            ),
+            (
+                "store value",
+                r(1),
+                vec![Op::Store {
+                    base: Src::imm(6),
+                    offset: 0,
+                    value: r1,
+                    tag,
+                }],
+                halt,
+                3,
+            ),
+            ("branch a", r(1), vec![], branch(r1, Src::imm(0)), 3),
+            ("branch b", r(1), vec![], branch(Src::imm(0), r1), 3),
+            ("jump", r(1), vec![], Terminator::Jump(BlockId(1)), 2),
+            ("nop", r(1), vec![Op::Nop], halt, 2),
+            (
+                "other register",
+                r(1),
+                vec![add(Src::reg(r(3)), imm)],
+                halt,
+                2,
+            ),
+            // The check compares register indices: a load into r0 still
+            // holds up a reader of r0.
+            (
+                "zero register",
+                Reg::ZERO,
+                vec![add(Src::reg(Reg::ZERO), imm)],
+                halt,
+                3,
+            ),
+            // Only the instruction right after the load can stall.
+            ("second reader", r(1), vec![Op::Nop, add(r1, imm)], halt, 3),
+        ];
+        for (name, rd, ops, term, want) in cases {
+            assert_eq!(cycles(rd, &ops, term), want, "{name}");
+        }
     }
 
     #[test]

@@ -257,10 +257,10 @@ pub fn used_regs(prog: &ScalarProgram) -> RegSet {
     let mut s = RegSet::EMPTY;
     for b in &prog.blocks {
         for op in &b.instrs {
-            s.extend(op.used_regs());
+            s = s.union(op.used_regs());
             s.extend(op.def_reg());
         }
-        s.extend(b.term.used_regs());
+        s = s.union(b.term.used_regs());
     }
     s.extend(prog.live_out.iter().copied());
     s.extend(prog.init_regs.iter().map(|&(r, _)| r));

@@ -581,10 +581,10 @@ mod tests {
         let mut s = RegSet::EMPTY;
         for b in &p.blocks {
             for op in &b.instrs {
-                s.extend(op.used_regs());
+                s = s.union(op.used_regs());
                 s.extend(op.def_reg());
             }
-            s.extend(b.term.used_regs());
+            s = s.union(b.term.used_regs());
         }
         s.extend(p.live_out.iter().copied());
         s.extend(p.init_regs.iter().map(|&(r, _)| r));
