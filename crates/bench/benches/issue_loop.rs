@@ -11,6 +11,10 @@
 //! control prepass for words that have neither; it runs the indexed
 //! commit pass only when something is buffered, and skips inert stall
 //! runs.
+//!
+//! Each workload runs under `region-pred`, whose cycles commit and
+//! squash buffered state, and under `global`, which buffers nothing, so
+//! its `global_*` routines time the cycle loop alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};
@@ -19,7 +23,7 @@ use psb_scalar::{ScalarConfig, ScalarMachine};
 use psb_sched::{Model, SchedConfig};
 use std::hint::black_box;
 
-fn compiled(name: &str) -> CompiledArtifact {
+fn compiled(name: &str, model: Model) -> CompiledArtifact {
     let w = psb_workloads::by_name(name, 3, 512).unwrap();
     let profile = ScalarMachine::new(&w.program, ScalarConfig::default())
         .run()
@@ -28,22 +32,24 @@ fn compiled(name: &str) -> CompiledArtifact {
     compile_fresh(&CompileRequest {
         program: &w.program,
         profile: ProfileSource::Provided(&profile),
-        sched: SchedConfig::new(Model::RegionPred),
+        sched: SchedConfig::new(model),
     })
     .unwrap()
 }
 
 fn bench_engines(c: &mut Criterion, name: &'static str) {
-    let art = compiled(name);
     let mut g = c.benchmark_group(format!("issue_loop_{name}"));
-    for (label, engine) in [("legacy", Engine::Legacy), ("tabled", Engine::Tabled)] {
-        let cfg = MachineConfig {
-            engine,
-            ..MachineConfig::default()
-        };
-        g.bench_function(label, |b| {
-            b.iter(|| black_box(black_box(&art).run(cfg.clone())))
-        });
+    for (prefix, model) in [("", Model::RegionPred), ("global_", Model::Global)] {
+        let art = compiled(name, model);
+        for (engine_label, engine) in [("legacy", Engine::Legacy), ("tabled", Engine::Tabled)] {
+            let cfg = MachineConfig {
+                engine,
+                ..MachineConfig::default()
+            };
+            g.bench_function(format!("{prefix}{engine_label}"), |b| {
+                b.iter(|| black_box(black_box(&art).run(cfg.clone())))
+            });
+        }
     }
     g.finish();
 }

@@ -387,8 +387,14 @@ fn profile_stage<T: Telemetry>(
                     CompileRequest::profile_key(program, config)
                 )
             });
+            // Only the edge profile is kept, so the run records no
+            // branch trace; the key above hashes `config` as given.
+            let untraced = ScalarConfig {
+                record_branch_trace: false,
+                ..config.clone()
+            };
             let start = Instant::now();
-            let result = ScalarMachine::new(program, config.clone())
+            let result = ScalarMachine::new(program, untraced)
                 .run()
                 .map_err(|e| CompileError::Profile(e.to_string()))?;
             let elapsed = start.elapsed();

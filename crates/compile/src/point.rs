@@ -99,7 +99,8 @@ pub struct PointJob<'a> {
 }
 
 impl<'a> PointJob<'a> {
-    /// Runs the golden scalar machine on `program` under `config`.
+    /// Runs the golden scalar machine on `program` under `config`,
+    /// without recording its branch trace.
     ///
     /// Every compile profiles on a default-configured scalar run of
     /// `train`; without one the point is self-trained on the golden
@@ -115,7 +116,11 @@ impl<'a> PointJob<'a> {
         train: Option<&'a ScalarProgram>,
         config: ScalarConfig,
     ) -> Result<PointJob<'a>, PointError> {
-        let golden = ScalarMachine::new(program, config.clone())
+        let untraced = ScalarConfig {
+            record_branch_trace: false,
+            ..config.clone()
+        };
+        let golden = ScalarMachine::new(program, untraced)
             .run()
             .map_err(PointError::Scalar)?;
         let expected = golden.observable(&program.live_out);
@@ -128,7 +133,10 @@ impl<'a> PointJob<'a> {
         })
     }
 
-    /// The golden run (its cycles are the point's scalar baseline).
+    /// The golden run (its cycles are the point's scalar baseline).  Its
+    /// `branch_trace` is empty: nothing a point does reads it, and a
+    /// caller that wants the trace (Table 3) runs the scalar machine
+    /// itself.
     pub fn golden(&self) -> &RunResult {
         &self.golden
     }

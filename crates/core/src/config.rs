@@ -61,8 +61,9 @@ pub enum Engine {
     /// intersection screens a word's operand hazards, and the
     /// store/control prepass runs only for words with a store or a
     /// control transfer.  Live slots run through the same slot match as
-    /// the legacy engine.  The issue buffer is recycled across cycles, so
-    /// steady-state issue is allocation-free.  Recovery mode is rare, and
+    /// the legacy engine, into the machine's one effect buffer, which
+    /// keeps its allocations across cycles, so steady-state issue is
+    /// allocation-free.  Recovery mode is rare, and
     /// there the engine issues from the program text as the legacy one
     /// does.  The commit pass is indexed, and the cycle driver skips inert
     /// commit passes and stall runs.

@@ -13,8 +13,8 @@
 //!
 //! [`DecodedProgram::decode`] is the only constructor and the arena's
 //! fields are crate-private, so every arena a machine reads is decode's
-//! own output for some program; the machine checks only that its word
-//! count matches the program it runs.
+//! own output for some program; the machine checks that it is the
+//! decoding of the program it runs ([`DecodedProgram::matches`]).
 //!
 //! Both engines share the per-slot execution semantics
 //! (`VliwMachine::exec_slot_*`), so the decoded representation only changes
@@ -76,6 +76,12 @@ fn src_mask(op: &SlotOp) -> RegSet {
     op.srcs().iter().filter_map(|s| s.as_reg()).collect()
 }
 
+/// Whether falling through word `addr` of `prog` enters a new region.
+fn falls_into_region(prog: &VliwProgram, addr: usize) -> bool {
+    let next = addr + 1;
+    next < prog.words.len() && prog.region_starts.binary_search(&next).is_ok()
+}
+
 impl DecodedProgram {
     /// Decodes `prog` into the dense arena form.  Called once per machine
     /// construction; every per-cycle question the issue loop asks is
@@ -103,17 +109,38 @@ impl DecodedProgram {
                     src_mask: mask,
                 });
             }
-            let next = addr + 1;
             words.push(DecodedWord {
                 first_slot,
                 num_slots: word.slots.len() as u32,
                 src_union,
                 prepass,
-                falls_into_region: next < prog.words.len()
-                    && prog.region_starts.binary_search(&next).is_ok(),
+                falls_into_region: falls_into_region(prog, addr),
             });
         }
         DecodedProgram { words, slots }
+    }
+
+    /// Whether this arena is the decoding of `prog`, checked in one pass
+    /// without decoding again: the same words, each with the same slots
+    /// (predicate and op) and the same fall-through region flag.  The
+    /// masks, the prepass flag and the slot offsets follow from those,
+    /// since [`decode`](Self::decode) built them.
+    pub(crate) fn matches(&self, prog: &VliwProgram) -> bool {
+        self.words.len() == prog.words.len()
+            && self
+                .words
+                .iter()
+                .zip(&prog.words)
+                .enumerate()
+                .all(|(addr, (w, word))| {
+                    let slots = &self.slots[Self::slot_range(w)];
+                    w.falls_into_region == falls_into_region(prog, addr)
+                        && slots.len() == word.slots.len()
+                        && slots
+                            .iter()
+                            .zip(&word.slots)
+                            .all(|(d, s)| d.pred == s.pred && d.op == s.op)
+                })
     }
 
     /// The number of slots across all words.

@@ -244,14 +244,16 @@ pub struct VliwMachine<'p, S: TraceSink = EventLog> {
     touched_faults: BTreeSet<i64>,
     sink: S,
     stats: RunStats,
-    /// Reusable issue buffer for the tabled engine: taken at issue,
-    /// recycled (cleared, allocations kept) at end of cycle, so
-    /// steady-state issue never touches the allocator.
-    scratch: CycleOut,
+    /// The issued word's effects, written in place by the `exec_*`
+    /// helpers and applied at the end of the cycle.  Empty whenever a
+    /// word issues: each issued cycle clears it (keeping its
+    /// allocations, so steady-state issue never touches the allocator),
+    /// recovery entry discards it, and a stall never writes it.
+    out: CycleOut,
 }
 
 /// What `issue` decided for the end of the cycle.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 struct CycleOut {
     writes: Vec<PendingWrite>,
     stores: Vec<PendingStore>,
@@ -260,10 +262,15 @@ struct CycleOut {
     halt: bool,
 }
 
-/// What `issue` produced: a word's effects, or the reason it stalled.
-enum IssueOutcome {
-    Issued(CycleOut),
-    Stalled(StallKind),
+impl CycleOut {
+    /// Empties the buffer, keeping its allocations.
+    fn clear(&mut self) {
+        self.writes.clear();
+        self.stores.clear();
+        self.conds.clear();
+        self.jump = None;
+        self.halt = false;
+    }
 }
 
 /// What one call to [`VliwMachine::step_cycle`] did.
@@ -341,15 +348,15 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
 
     /// Creates a machine over `prog` that shares a pre-decoded arena
     /// instead of re-lowering the program at construction.  `decoded`
-    /// must be the decoding of `prog` (a compiled artifact guarantees
-    /// this by construction).  [`DecodedProgram::decode`] is the only way
-    /// to build an arena, so its metadata is not re-checked here.
+    /// must be the decoding of `prog`, which construction checks in one
+    /// pass over the program (a compiled artifact holds such a pair by
+    /// construction).
     ///
     /// # Errors
     ///
     /// [`VliwError::Malformed`] if the program fails validation, exceeds
-    /// the configured issue width or function-unit counts, or the arena's
-    /// word count does not match the program's.
+    /// the configured issue width or function-unit counts, or `decoded`
+    /// is not the decoding of `prog`.
     pub fn with_sink_decoded(
         prog: &'p VliwProgram,
         decoded: Arc<DecodedProgram>,
@@ -357,7 +364,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         sink: S,
     ) -> Result<VliwMachine<'p, S>, VliwError> {
         Self::validate_for(prog, &cfg)?;
-        if decoded.words.len() != prog.words.len() {
+        if !decoded.matches(prog) {
             return Err(VliwError::Malformed(
                 "pre-decoded arena does not match the program".to_string(),
             ));
@@ -430,7 +437,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
             cfg,
             prog,
             stats: RunStats::default(),
-            scratch: CycleOut::default(),
+            out: CycleOut::default(),
         }
     }
 
@@ -690,9 +697,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         Ok(landed)
     }
 
-    fn apply_writes(&mut self, writes: &[PendingWrite]) -> Result<(), VliwError> {
+    fn apply_writes(&mut self) -> Result<(), VliwError> {
         let cycle = self.cycle;
-        for w in writes {
+        for w in &self.out.writes {
             if w.nonspec {
                 self.regs.write_seq(w.dest, w.value);
                 self.sink.push(|| Event::SeqWrite { cycle, reg: w.dest });
@@ -733,8 +740,10 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
             epc: issued_word,
             rpc,
         });
-        // Force-complete in-flight writes from earlier words; the rolled
-        // back word's own effects are discarded entirely (it re-executes).
+        // The rolled back word's own effects are discarded entirely (it
+        // re-executes): its buffered ones here, its in-flight writes
+        // below.  In-flight writes from earlier words force-complete.
+        self.out.clear();
         let ccr = self.ccr;
         let mut landed = Vec::new();
         self.inflight.retain(|f| {
@@ -765,13 +774,13 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         self.stats.recoveries += 1;
     }
 
-    /// Issues the word at PC in normal mode, or reports why it stalled.
-    fn issue_normal(&mut self) -> Result<IssueOutcome, VliwError> {
+    /// Issues the word at PC in normal mode into [`CycleOut`], or returns
+    /// why it stalled.
+    fn issue_normal(&mut self) -> Result<Option<StallKind>, VliwError> {
         let word = self.prog.words[self.pc].clone();
         // Stall checks.
         if self.operand_in_flight(&word) {
-            let kind = self.operand_stall();
-            return Ok(IssueOutcome::Stalled(kind));
+            return Ok(Some(self.operand_stall()));
         }
         let mut store_count = 0;
         for slot in &word.slots {
@@ -788,10 +797,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         }
         if self.sb.would_overflow(store_count) {
             self.stats.stall_sb_full += 1;
-            return Ok(IssueOutcome::Stalled(StallKind::SbFull));
+            return Ok(Some(StallKind::SbFull));
         }
 
-        let mut out = CycleOut::default();
         self.stats.words_issued += 1;
         for slot in &word.slots {
             let pv = slot.pred.eval(&self.ccr);
@@ -799,9 +807,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 self.stats.ops_squashed += 1;
                 continue;
             }
-            self.exec_slot_normal(slot.pred, slot.op, pv == Cond::True, &mut out)?;
+            self.exec_slot_normal(slot.pred, slot.op, pv == Cond::True)?;
         }
-        Ok(IssueOutcome::Issued(out))
+        Ok(None)
     }
 
     // ------------------------------------------------------------------
@@ -853,19 +861,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_alu(
-        &mut self,
-        pred: Predicate,
-        op: AluOp,
-        rd: Reg,
-        a: Src,
-        b: Src,
-        nonspec: bool,
-        out: &mut CycleOut,
-    ) {
+    fn exec_alu(&mut self, pred: Predicate, op: AluOp, rd: Reg, a: Src, b: Src, nonspec: bool) {
         let v = op.apply(self.read_src(a, &pred), self.read_src(b, &pred));
-        out.writes.push(PendingWrite {
+        self.out.writes.push(PendingWrite {
             dest: rd,
             value: v,
             pred,
@@ -875,9 +873,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         self.stats.ops_executed += 1;
     }
 
-    fn exec_copy(&mut self, pred: Predicate, rd: Reg, src: Src, nonspec: bool, out: &mut CycleOut) {
+    fn exec_copy(&mut self, pred: Predicate, rd: Reg, src: Src, nonspec: bool) {
         let v = self.read_src(src, &pred);
-        out.writes.push(PendingWrite {
+        self.out.writes.push(PendingWrite {
             dest: rd,
             value: v,
             pred,
@@ -887,17 +885,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         self.stats.ops_executed += 1;
     }
 
-    fn exec_setcond(
-        &mut self,
-        pred: Predicate,
-        c: CondReg,
-        cmp: CmpOp,
-        a: Src,
-        b: Src,
-        out: &mut CycleOut,
-    ) {
+    fn exec_setcond(&mut self, pred: Predicate, c: CondReg, cmp: CmpOp, a: Src, b: Src) {
         let v = cmp.apply(self.read_src(a, &pred), self.read_src(b, &pred));
-        out.conds.push((c, v));
+        self.out.conds.push((c, v));
         self.stats.ops_executed += 1;
     }
 
@@ -941,7 +931,6 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_store_normal(
         &mut self,
         pred: Predicate,
@@ -949,7 +938,6 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         offset: i64,
         value: Src,
         nonspec: bool,
-        out: &mut CycleOut,
     ) -> Result<(), VliwError> {
         let addr = self.read_src(base, &pred).wrapping_add(offset);
         let v = self.read_src(value, &pred);
@@ -973,7 +961,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 true
             }
         };
-        out.stores.push(PendingStore {
+        self.out.stores.push(PendingStore {
             addr,
             value: v,
             pred,
@@ -984,23 +972,17 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         Ok(())
     }
 
-    fn exec_jump(
-        &mut self,
-        target: usize,
-        nonspec: bool,
-        out: &mut CycleOut,
-    ) -> Result<(), VliwError> {
+    fn exec_jump(&mut self, target: usize, nonspec: bool) -> Result<(), VliwError> {
         if nonspec {
-            if out.jump.is_some() {
+            if self.out.jump.is_some() {
                 return Err(self.double_jump_error());
             }
-            out.jump = Some(target);
+            self.out.jump = Some(target);
         }
         self.stats.ops_executed += 1;
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_cmpbr(
         &mut self,
         pred: Predicate,
@@ -1009,24 +991,23 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         a: Src,
         b: Src,
         target: usize,
-        out: &mut CycleOut,
     ) -> Result<(), VliwError> {
         let v = cmp.apply(self.read_src(a, &pred), self.read_src(b, &pred));
         if let Some(c) = c {
-            out.conds.push((c, v));
+            self.out.conds.push((c, v));
         }
         if v {
-            if out.jump.is_some() {
+            if self.out.jump.is_some() {
                 return Err(self.double_jump_error());
             }
-            out.jump = Some(target);
+            self.out.jump = Some(target);
         }
         self.stats.ops_executed += 1;
         Ok(())
     }
 
-    fn exec_halt(&mut self, out: &mut CycleOut) {
-        out.halt = true;
+    fn exec_halt(&mut self) {
+        self.out.halt = true;
         self.stats.ops_executed += 1;
     }
 
@@ -1075,7 +1056,6 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_store_recovery(
         &mut self,
         pred: Predicate,
@@ -1083,7 +1063,6 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         offset: i64,
         value: Src,
         future: &Ccr,
-        out: &mut CycleOut,
     ) -> Result<(), VliwError> {
         let addr = self.read_src(base, &pred).wrapping_add(offset);
         let v = self.read_src(value, &pred);
@@ -1110,7 +1089,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 }
             },
         };
-        out.stores.push(PendingStore {
+        self.out.stores.push(PendingStore {
             addr,
             value: v,
             pred,
@@ -1122,20 +1101,19 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     }
 
     /// Executes one live (predicate not false) slot in normal mode,
-    /// accumulating its effects into `out`.  Both engines' issue paths
-    /// call it for every live slot.
+    /// accumulating its effects into [`CycleOut`].  Both engines' issue
+    /// paths call it for every live slot.
     fn exec_slot_normal(
         &mut self,
         pred: Predicate,
         op: SlotOp,
         nonspec: bool,
-        out: &mut CycleOut,
     ) -> Result<(), VliwError> {
         match op {
             SlotOp::Op(Op::Nop) => {}
-            SlotOp::Op(Op::Alu { op, rd, a, b }) => self.exec_alu(pred, op, rd, a, b, nonspec, out),
-            SlotOp::Op(Op::Copy { rd, src }) => self.exec_copy(pred, rd, src, nonspec, out),
-            SlotOp::Op(Op::SetCond { c, cmp, a, b }) => self.exec_setcond(pred, c, cmp, a, b, out),
+            SlotOp::Op(Op::Alu { op, rd, a, b }) => self.exec_alu(pred, op, rd, a, b, nonspec),
+            SlotOp::Op(Op::Copy { rd, src }) => self.exec_copy(pred, rd, src, nonspec),
+            SlotOp::Op(Op::SetCond { c, cmp, a, b }) => self.exec_setcond(pred, c, cmp, a, b),
             SlotOp::Op(Op::Load {
                 rd, base, offset, ..
             }) => return self.exec_load_normal(pred, rd, base, offset, nonspec),
@@ -1144,29 +1122,29 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 offset,
                 value,
                 ..
-            }) => return self.exec_store_normal(pred, base, offset, value, nonspec, out),
-            SlotOp::Jump { target } => return self.exec_jump(target, nonspec, out),
+            }) => return self.exec_store_normal(pred, base, offset, value, nonspec),
+            SlotOp::Jump { target } => return self.exec_jump(target, nonspec),
             SlotOp::CmpBr {
                 c,
                 cmp,
                 a,
                 b,
                 target,
-            } => return self.exec_cmpbr(pred, c, cmp, a, b, target, out),
-            SlotOp::Halt => self.exec_halt(out),
+            } => return self.exec_cmpbr(pred, c, cmp, a, b, target),
+            SlotOp::Halt => self.exec_halt(),
         }
         Ok(())
     }
 
-    /// Issues the word at PC in recovery mode (Section 3.5): instructions
-    /// whose predicate is specified under the current condition are
-    /// squashed; unspecified ones re-execute speculatively, and a re-raised
+    /// Issues the word at PC in recovery mode (Section 3.5) into
+    /// [`CycleOut`], or returns why it stalled: instructions whose
+    /// predicate is specified under the current condition are squashed;
+    /// unspecified ones re-execute speculatively, and a re-raised
     /// exception is judged against the *future* condition.
-    fn issue_recovery(&mut self, future: &Ccr) -> Result<IssueOutcome, VliwError> {
+    fn issue_recovery(&mut self, future: &Ccr) -> Result<Option<StallKind>, VliwError> {
         let word = self.prog.words[self.pc].clone();
         if self.operand_in_flight(&word) {
-            let kind = self.operand_stall();
-            return Ok(IssueOutcome::Stalled(kind));
+            return Ok(Some(self.operand_stall()));
         }
         let mut store_count = 0;
         for slot in &word.slots {
@@ -1178,10 +1156,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         }
         if self.sb.would_overflow(store_count) {
             self.stats.stall_sb_full += 1;
-            return Ok(IssueOutcome::Stalled(StallKind::SbFull));
+            return Ok(Some(StallKind::SbFull));
         }
 
-        let mut out = CycleOut::default();
         self.stats.words_issued += 1;
         for slot in &word.slots {
             if slot.pred.eval(&self.ccr) != Cond::Unspecified {
@@ -1197,21 +1174,20 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 self.stats.ops_squashed += 1;
                 continue;
             }
-            self.exec_slot_recovery(slot.pred, slot.op, future, &mut out)?;
+            self.exec_slot_recovery(slot.pred, slot.op, future)?;
         }
-        Ok(IssueOutcome::Issued(out))
+        Ok(None)
     }
 
     /// Executes one unspecified-predicate slot in recovery mode,
-    /// accumulating its effects into `out`.  A re-raised exception is
-    /// judged against the *future* condition.  Both engines' issue paths
-    /// call it for every unspecified slot.
+    /// accumulating its effects into [`CycleOut`].  A re-raised exception
+    /// is judged against the *future* condition.  Both engines' issue
+    /// paths call it for every unspecified slot.
     fn exec_slot_recovery(
         &mut self,
         pred: Predicate,
         op: SlotOp,
         future: &Ccr,
-        out: &mut CycleOut,
     ) -> Result<(), VliwError> {
         match op {
             SlotOp::Jump { .. } | SlotOp::Halt => Err(self.recovery_unspecified_jump_error()),
@@ -1220,11 +1196,11 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
             }
             SlotOp::Op(Op::Nop) => Ok(()),
             SlotOp::Op(Op::Alu { op, rd, a, b }) => {
-                self.exec_alu(pred, op, rd, a, b, false, out);
+                self.exec_alu(pred, op, rd, a, b, false);
                 Ok(())
             }
             SlotOp::Op(Op::Copy { rd, src }) => {
-                self.exec_copy(pred, rd, src, false, out);
+                self.exec_copy(pred, rd, src, false);
                 Ok(())
             }
             SlotOp::Op(Op::Load {
@@ -1235,7 +1211,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 offset,
                 value,
                 ..
-            }) => self.exec_store_recovery(pred, base, offset, value, future, out),
+            }) => self.exec_store_recovery(pred, base, offset, value, future),
         }
     }
 
@@ -1250,7 +1226,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     /// store/control prepass runs only for words that have a store or a
     /// control transfer, and live slots go through the same
     /// [`exec_slot_normal`](Self::exec_slot_normal) match.
-    fn issue_normal_tabled(&mut self) -> Result<IssueOutcome, VliwError> {
+    fn issue_normal_tabled(&mut self) -> Result<Option<StallKind>, VliwError> {
         let w = self.decoded.words[self.pc];
         let range = DecodedProgram::slot_range(&w);
         // Operand hazard: the union mask screens the whole word; only on a
@@ -1263,14 +1239,12 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                     if !s.src_mask.intersect(inflight).is_empty()
                         && s.pred.eval(&self.ccr) != Cond::False
                     {
-                        let kind = self.operand_stall();
-                        return Ok(IssueOutcome::Stalled(kind));
+                        return Ok(Some(self.operand_stall()));
                     }
                 }
             }
             if self.waw_in_flight_decoded(range.clone()) {
-                let kind = self.operand_stall();
-                return Ok(IssueOutcome::Stalled(kind));
+                return Ok(Some(self.operand_stall()));
             }
         }
         if w.prepass {
@@ -1290,11 +1264,10 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
             }
             if self.sb.would_overflow(store_count) {
                 self.stats.stall_sb_full += 1;
-                return Ok(IssueOutcome::Stalled(StallKind::SbFull));
+                return Ok(Some(StallKind::SbFull));
             }
         }
 
-        let mut out = self.take_scratch();
         self.stats.words_issued += 1;
         for i in range {
             let s = self.decoded.slots[i];
@@ -1303,29 +1276,9 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
                 self.stats.ops_squashed += 1;
                 continue;
             }
-            self.exec_slot_normal(s.pred, s.op, pv == Cond::True, &mut out)?;
+            self.exec_slot_normal(s.pred, s.op, pv == Cond::True)?;
         }
-        Ok(IssueOutcome::Issued(out))
-    }
-
-    /// Takes the reusable issue buffer (empty, but with its vector
-    /// allocations intact from the previous cycle's
-    /// [`recycle`](Self::recycle)).
-    #[inline]
-    fn take_scratch(&mut self) -> CycleOut {
-        std::mem::take(&mut self.scratch)
-    }
-
-    /// Returns an issue buffer to the scratch slot for the next cycle,
-    /// clearing its contents but keeping its allocations.
-    #[inline]
-    fn recycle(&mut self, mut out: CycleOut) {
-        out.writes.clear();
-        out.stores.clear();
-        out.conds.clear();
-        out.jump = None;
-        out.halt = false;
-        self.scratch = out;
+        Ok(None)
     }
 
     /// Emits the end-of-cycle [`CycleSample`].  The occupancy reads only
@@ -1390,153 +1343,150 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         // keeps the paper's literal always-on pass, and runs it naively
         // ([`CommitScan::Naive`]).
         let tabled = matches!(self.cfg.engine, Engine::Tabled);
-        {
-            if self.cycle > self.cfg.max_cycles {
-                return Err(VliwError::CycleLimit(self.cfg.max_cycles));
-            }
-            // 1. Commit pass.
-            let ccr = self.ccr;
-            if !tabled || self.regs.has_buffered() {
-                let (rc, rs) = self.regs.tick(&ccr, self.cycle, &mut self.sink);
-                self.stats.commits += rc;
-                self.stats.squashes += rs;
-            }
-            if !tabled || !self.sb.is_empty() {
-                let (sc, ss) = self.sb.tick(&ccr, self.cycle, &mut self.sink);
-                self.stats.commits += sc;
-                self.stats.squashes += ss;
-                // 2. Store retire.
-                self.sb.retire(&mut self.memory, self.cfg.retire_per_cycle);
-            }
-            // 3. Recovery exit.
-            if let Mode::Recovery { epc, ref future } = self.mode {
-                if self.pc == epc {
-                    self.ccr = *future;
-                    self.mode = Mode::Normal;
-                    let cycle = self.cycle;
-                    self.sink.push(|| Event::RecoveryEnd { cycle });
-                    // Installing the future condition resolves the state
-                    // rebuffered during recovery (Section 3.5).  This must
-                    // happen *before* the EPC word issues: it re-executes
-                    // this same cycle, and a stale shadow committing on the
-                    // next cycle's pass would clobber its sequential writes.
-                    // The `defer_recovery_exit_commit` escape hatch skips
-                    // the pass to let the fuzzer prove it catches the bug.
-                    if !self.cfg.defer_recovery_exit_commit {
-                        let ccr = self.ccr;
-                        let (rc, rs) = self.regs.tick(&ccr, self.cycle, &mut self.sink);
-                        let (sc, ss) = self.sb.tick(&ccr, self.cycle, &mut self.sink);
-                        self.stats.commits += rc + sc;
-                        self.stats.squashes += rs + ss;
-                    }
-                }
-            }
-            // 4. Issue.
-            let issued_word = self.pc;
-            let outcome = if self.busy_until >= self.cycle {
-                self.stats.stall_busy += 1;
-                IssueOutcome::Stalled(StallKind::Busy)
-            } else {
-                if self.pc >= self.prog.words.len() {
-                    return Err(VliwError::Malformed(
-                        "execution fell off the program end".into(),
-                    ));
-                }
-                // Front-end gate shared by both engines: the word
-                // must have arrived from the I$ (or fixed-latency fetch)
-                // before it can issue.  Perfect memory never stalls here.
-                if self.mem.fetch_stalls(self.pc, self.cycle) {
-                    self.stats.stall_ifetch += 1;
-                    IssueOutcome::Stalled(StallKind::IFetch)
-                } else {
-                    match self.mode {
-                        Mode::Normal => match self.cfg.engine {
-                            Engine::Tabled => self.issue_normal_tabled()?,
-                            Engine::Legacy => self.issue_normal()?,
-                        },
-                        Mode::Recovery { future, .. } => self.issue_recovery(&future)?,
-                    }
-                }
-            };
-            // 5. End of cycle: writebacks run unconditionally (loads mature
-            // during stalls too); then this word's effects.
-            let landed = self.writeback_inflight()?;
-            let out = match outcome {
-                IssueOutcome::Issued(out) => out,
-                IssueOutcome::Stalled(kind) => {
-                    self.end_cycle(issued_word, Some(kind));
-                    self.skip_stall_run(kind, landed);
-                    return Ok(StepOutcome::Running);
-                }
-            };
-            if !out.conds.is_empty() {
-                let mut candidate = self.ccr;
-                for &(c, v) in &out.conds {
-                    candidate.set(c, v);
-                }
-                let store_exc = out
-                    .stores
-                    .iter()
-                    .any(|s| s.exc && s.pred.eval(&candidate) == Cond::True);
-                if store_exc || self.exception_would_commit(&candidate) {
-                    // Suppress the CCR update; discard this entire word
-                    // (writes, stores and control) — it will fully
-                    // re-execute at the EPC after recovery.
-                    self.enter_recovery(issued_word, candidate);
-                    self.recycle(out);
-                    self.end_cycle(issued_word, None);
-                    return Ok(StepOutcome::Running);
-                }
-                for &(c, v) in &out.conds {
-                    self.ccr.set(c, v);
-                    let cycle = self.cycle;
-                    self.sink.push(|| Event::CondSet {
-                        cycle,
-                        c,
-                        value: Cond::from_bool(v),
-                    });
-                }
-            }
-            self.apply_writes(&out.writes)?;
-            for s in &out.stores {
-                self.sb.append(
-                    s.addr,
-                    s.value,
-                    s.pred,
-                    s.spec,
-                    s.exc,
-                    self.cycle,
-                    &mut self.sink,
-                );
-            }
-            if out.halt {
-                // The halt cycle is sampled before the drain (the drain's
-                // store-retire cycles have no PC to attribute).
-                self.take_sample(issued_word, None);
-                return Ok(StepOutcome::Halted);
-            }
-            if let Some(target) = out.jump {
-                self.enter_region(target);
-                self.busy_until = self.busy_until.max(self.cycle) + self.cfg.taken_jump_penalty;
-            } else {
-                let next = self.pc + 1;
-                let falls_into_region = match self.cfg.engine {
-                    // Pre-resolved at decode time — no per-cycle search.
-                    Engine::Tabled => self.decoded.words[self.pc].falls_into_region,
-                    Engine::Legacy => {
-                        next < self.prog.words.len()
-                            && self.prog.region_starts.binary_search(&next).is_ok()
-                    }
-                };
-                if falls_into_region {
-                    self.enter_region(next);
-                } else {
-                    self.pc = next;
-                }
-            }
-            self.recycle(out);
-            self.end_cycle(issued_word, None);
+        if self.cycle > self.cfg.max_cycles {
+            return Err(VliwError::CycleLimit(self.cfg.max_cycles));
         }
+        // 1. Commit pass.
+        let ccr = self.ccr;
+        if !tabled || self.regs.has_buffered() {
+            let (rc, rs) = self.regs.tick(&ccr, self.cycle, &mut self.sink);
+            self.stats.commits += rc;
+            self.stats.squashes += rs;
+        }
+        if !tabled || !self.sb.is_empty() {
+            let (sc, ss) = self.sb.tick(&ccr, self.cycle, &mut self.sink);
+            self.stats.commits += sc;
+            self.stats.squashes += ss;
+            // 2. Store retire.
+            self.sb.retire(&mut self.memory, self.cfg.retire_per_cycle);
+        }
+        // 3. Recovery exit.
+        if let Mode::Recovery { epc, ref future } = self.mode {
+            if self.pc == epc {
+                self.ccr = *future;
+                self.mode = Mode::Normal;
+                let cycle = self.cycle;
+                self.sink.push(|| Event::RecoveryEnd { cycle });
+                // Installing the future condition resolves the state
+                // rebuffered during recovery (Section 3.5).  This must
+                // happen *before* the EPC word issues: it re-executes
+                // this same cycle, and a stale shadow committing on the
+                // next cycle's pass would clobber its sequential writes.
+                // The `defer_recovery_exit_commit` escape hatch skips
+                // the pass to let the fuzzer prove it catches the bug.
+                if !self.cfg.defer_recovery_exit_commit {
+                    let ccr = self.ccr;
+                    let (rc, rs) = self.regs.tick(&ccr, self.cycle, &mut self.sink);
+                    let (sc, ss) = self.sb.tick(&ccr, self.cycle, &mut self.sink);
+                    self.stats.commits += rc + sc;
+                    self.stats.squashes += rs + ss;
+                }
+            }
+        }
+        // 4. Issue, into the effect buffer the previous issued cycle
+        // cleared.
+        debug_assert_eq!(self.out, CycleOut::default(), "effect buffer not cleared");
+        let issued_word = self.pc;
+        let stall = if self.busy_until >= self.cycle {
+            self.stats.stall_busy += 1;
+            Some(StallKind::Busy)
+        } else {
+            if self.pc >= self.prog.words.len() {
+                return Err(VliwError::Malformed(
+                    "execution fell off the program end".into(),
+                ));
+            }
+            // Front-end gate shared by both engines: the word
+            // must have arrived from the I$ (or fixed-latency fetch)
+            // before it can issue.  Perfect memory never stalls here.
+            if self.mem.fetch_stalls(self.pc, self.cycle) {
+                self.stats.stall_ifetch += 1;
+                Some(StallKind::IFetch)
+            } else {
+                match self.mode {
+                    Mode::Normal => match self.cfg.engine {
+                        Engine::Tabled => self.issue_normal_tabled()?,
+                        Engine::Legacy => self.issue_normal()?,
+                    },
+                    Mode::Recovery { future, .. } => self.issue_recovery(&future)?,
+                }
+            }
+        };
+        // 5. End of cycle: writebacks run unconditionally (loads mature
+        // during stalls too); then this word's effects.
+        let landed = self.writeback_inflight()?;
+        if let Some(kind) = stall {
+            self.end_cycle(issued_word, Some(kind));
+            self.skip_stall_run(kind, landed);
+            return Ok(StepOutcome::Running);
+        }
+        if !self.out.conds.is_empty() {
+            let mut candidate = self.ccr;
+            for &(c, v) in &self.out.conds {
+                candidate.set(c, v);
+            }
+            let store_exc = self
+                .out
+                .stores
+                .iter()
+                .any(|s| s.exc && s.pred.eval(&candidate) == Cond::True);
+            if store_exc || self.exception_would_commit(&candidate) {
+                // Suppress the CCR update; discard this entire word
+                // (writes, stores and control) — it will fully
+                // re-execute at the EPC after recovery.
+                self.enter_recovery(issued_word, candidate);
+                self.end_cycle(issued_word, None);
+                return Ok(StepOutcome::Running);
+            }
+            let cycle = self.cycle;
+            for &(c, v) in &self.out.conds {
+                self.ccr.set(c, v);
+                self.sink.push(|| Event::CondSet {
+                    cycle,
+                    c,
+                    value: Cond::from_bool(v),
+                });
+            }
+        }
+        self.apply_writes()?;
+        for s in &self.out.stores {
+            self.sb.append(
+                s.addr,
+                s.value,
+                s.pred,
+                s.spec,
+                s.exc,
+                self.cycle,
+                &mut self.sink,
+            );
+        }
+        if self.out.halt {
+            // The halt cycle is sampled before the drain (the drain's
+            // store-retire cycles have no PC to attribute).
+            self.take_sample(issued_word, None);
+            return Ok(StepOutcome::Halted);
+        }
+        if let Some(target) = self.out.jump {
+            self.enter_region(target);
+            self.busy_until = self.busy_until.max(self.cycle) + self.cfg.taken_jump_penalty;
+        } else {
+            let next = self.pc + 1;
+            let falls_into_region = match self.cfg.engine {
+                // Pre-resolved at decode time — no per-cycle search.
+                Engine::Tabled => self.decoded.words[self.pc].falls_into_region,
+                Engine::Legacy => {
+                    next < self.prog.words.len()
+                        && self.prog.region_starts.binary_search(&next).is_ok()
+                }
+            };
+            if falls_into_region {
+                self.enter_region(next);
+            } else {
+                self.pc = next;
+            }
+        }
+        self.out.clear();
+        self.end_cycle(issued_word, None);
         Ok(StepOutcome::Running)
     }
 

@@ -866,6 +866,47 @@ fn validation_rejects_resource_overflow() {
 }
 
 #[test]
+fn arena_of_another_program_is_rejected() {
+    let add = |a: i64| {
+        word(vec![Slot::alw(alu(
+            r(1),
+            Src::imm(a),
+            AluOp::Add,
+            Src::imm(3),
+        ))])
+    };
+    let halt = || word(vec![Slot::alw(SlotOp::Halt)]);
+    let pr = prog(vec![add(2), halt()], vec![0]);
+    let mut two_slots = add(2);
+    two_slots.slots.push(Slot::alw(SlotOp::Op(Op::Nop)));
+    // Same word count as `pr`: another op, another slot count, and
+    // another fall-through region flag.
+    let others = [
+        prog(vec![add(40), halt()], vec![0]),
+        prog(vec![two_slots, halt()], vec![0]),
+        prog(vec![add(2), halt()], vec![0, 1]),
+    ];
+    for engine in [Engine::Tabled, Engine::Legacy] {
+        let cfg = MachineConfig {
+            engine,
+            ..MachineConfig::two_issue()
+        };
+        let build = |of: &VliwProgram| {
+            let arena = Arc::new(DecodedProgram::decode(of));
+            VliwMachine::with_sink_decoded(&pr, arena, cfg.clone(), EventLog::new(false))
+        };
+        for other in &others {
+            let err = build(other).unwrap_err();
+            assert_eq!(
+                err,
+                VliwError::Malformed("pre-decoded arena does not match the program".into())
+            );
+        }
+        assert_eq!(build(&pr).unwrap().run().unwrap().regs[1], 5);
+    }
+}
+
+#[test]
 fn falling_off_the_end_is_malformed() {
     let pr = prog(vec![word(vec![Slot::alw(SlotOp::Op(Op::Nop))])], vec![0]);
     let err = VliwMachine::run_program(&pr, MachineConfig::two_issue()).unwrap_err();
