@@ -4,17 +4,24 @@
 //! Both engines execute the identical architecture (the differential
 //! suite proves byte-equal results); what this group measures is pure
 //! simulator cost.  The legacy path clones the `MultiOp` and walks
-//! `SlotOp::srcs()` allocations every cycle and runs the paper's naive
-//! commit pass over every buffered entry every cycle.  In normal mode
-//! the tabled path reads `Copy` slots from a dense arena, screens
-//! operand hazards with one mask intersection and skips the store and
-//! control prepass for words that have neither; it runs the indexed
-//! commit pass only when something is buffered, and skips inert stall
-//! runs.
+//! `SlotOp::srcs()` allocations every cycle, lowers each slot it issues
+//! to a micro-op, and runs the paper's naive commit pass over every
+//! buffered entry every cycle.  In normal mode the tabled path reads
+//! `Copy` slots, each already lowered to its micro-op, from a dense
+//! arena, screens operand hazards with one mask intersection and skips
+//! the store and control prepass for words that have neither; it runs
+//! the indexed commit pass only when something is buffered, and skips
+//! inert stall runs.  Both execute a live slot through one micro-op
+//! match.
 //!
 //! Each workload runs under `region-pred`, whose cycles commit and
 //! squash buffered state, and under `global`, which buffers nothing, so
 //! its `global_*` routines time the cycle loop alone.
+//!
+//! A routine (one whole machine run, about 0.1 ms) is warmed up once,
+//! and each of its 20 samples runs it enough times to last about 1 ms
+//! (the vendored criterion sizes samples from the warm-up run), so the
+//! printed median is not a single timer read around one run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};

@@ -50,7 +50,7 @@ pub use store::{
 };
 
 use cache::ProfileEntry;
-use hash::{word_hash, DebugHasher};
+use hash::{word_hash, DebugHasher, WordHasher};
 use psb_core::{
     BatchReport, DecodedProgram, EventLog, MachineConfig, TraceSink, VliwError, VliwMachine,
     VliwResult,
@@ -60,6 +60,7 @@ use psb_scalar::{EdgeProfile, ScalarConfig, ScalarMachine};
 use psb_sched::{schedule, SchedConfig, SchedError, ScheduleStats};
 use psb_telemetry::{round_us, Telemetry};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -159,12 +160,36 @@ impl CompileRequest<'_> {
     }
 }
 
+/// The [`CompileRequest::key`] hasher's state after the tag, the program
+/// and the profile source, so that the keys of one program and profile
+/// under many scheduling configurations hash the program once.  A tuple
+/// hashes element by element, so finishing a copy of the prefix with a
+/// configuration gives that request's key exactly.
+#[derive(Clone)]
+pub(crate) struct KeyPrefix(WordHasher);
+
+impl KeyPrefix {
+    /// Hashes everything of a request's key but its configuration.
+    pub(crate) fn new(program: &ScalarProgram, profile: &ProfileSource<'_>) -> KeyPrefix {
+        let mut h = WordHasher::default();
+        ("compile-request-v2", program, profile).hash(&mut h);
+        KeyPrefix(h)
+    }
+
+    /// The key of the request for `sched`.
+    pub(crate) fn key(&self, sched: &SchedConfig) -> u64 {
+        let mut h = self.0.clone();
+        sched.hash(&mut h);
+        h.finish()
+    }
+}
+
 /// A failed compilation, tagged with the stage that failed.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CompileError {
     /// The scalar training run failed (fault or cycle limit).
     Profile(String),
-    /// The scheduler rejected its own output.
+    /// The scheduler rejected its configuration or its own output.
     Schedule(SchedError),
 }
 
@@ -487,18 +512,22 @@ pub fn compile(
     compile_stored(req, cache, None, &NullTelemetry).map(|(artifact, _)| artifact)
 }
 
-/// The artifact-cache miss path of [`compile_stored`]: resolve the
+/// The artifact-cache miss path of [`compile_keyed`]: resolve the
 /// (separately memoized) profile stage, then schedule and decode the
-/// artifact for `key` (`req.key()`).
+/// artifact for `key` (`req.key()`).  `profile_key` is the profile
+/// stage's memo key when the caller already has it.
 fn compile_miss<T: Telemetry>(
     req: &CompileRequest<'_>,
     key: u64,
+    profile_key: Option<u64>,
     cache: &ArtifactCache,
     tel: &T,
 ) -> Result<Arc<CompiledArtifact>, CompileError> {
     let entry = match &req.profile {
         ProfileSource::Train { program, config } => {
-            cache.profile(CompileRequest::profile_key(program, config), tel, || {
+            let profile_key =
+                profile_key.unwrap_or_else(|| CompileRequest::profile_key(program, config));
+            cache.profile(profile_key, tel, || {
                 profile_stage(&req.profile, tel).map(Arc::new)
             })?
         }
@@ -555,8 +584,21 @@ pub fn compile_stored<T: Telemetry>(
     store: Option<&DiskStore>,
     tel: &T,
 ) -> Result<(Arc<CompiledArtifact>, ArtifactSource), CompileError> {
+    compile_keyed(req, req.key(), None, cache, store, tel)
+}
+
+/// [`compile_stored`] with the request's key (`req.key()`) and, when
+/// the caller has it, the profile stage's memo key already computed:
+/// a [`PointJob`] hashes its programs once for all of its compiles.
+pub(crate) fn compile_keyed<T: Telemetry>(
+    req: &CompileRequest<'_>,
+    key: u64,
+    profile_key: Option<u64>,
+    cache: &ArtifactCache,
+    store: Option<&DiskStore>,
+    tel: &T,
+) -> Result<(Arc<CompiledArtifact>, ArtifactSource), CompileError> {
     let source = std::cell::Cell::new(ArtifactSource::Memory);
-    let key = req.key();
     let artifact = cache.artifact(key, tel, || -> Result<_, CompileError> {
         if let Some(store) = store {
             if let Ok(Some(artifact)) = store.load(key, &req.sched, tel) {
@@ -565,7 +607,7 @@ pub fn compile_stored<T: Telemetry>(
             }
         }
         source.set(ArtifactSource::Compiled);
-        let artifact = compile_miss(req, key, cache, tel)?;
+        let artifact = compile_miss(req, key, profile_key, cache, tel)?;
         if let Some(store) = store {
             // Best-effort persist: an unwritable store must not fail
             // the request; the failure is counted in StoreStats.

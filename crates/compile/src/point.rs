@@ -13,8 +13,8 @@
 //! code or failure record.
 
 use crate::{
-    compile_stored, ArtifactCache, ArtifactSource, CompileError, CompileRequest, CompiledArtifact,
-    DiskStore, ProfileSource,
+    compile_keyed, compile_stored, ArtifactCache, ArtifactSource, CompileError, CompileRequest,
+    CompiledArtifact, DiskStore, KeyPrefix, ProfileSource,
 };
 use psb_core::{MachineConfig, ShadowMode, TraceSink, VliwError, VliwResult};
 use psb_isa::ScalarProgram;
@@ -66,24 +66,12 @@ pub fn compile_trained<T: Telemetry>(
     store: Option<&DiskStore>,
     tel: &T,
 ) -> Result<(Arc<CompiledArtifact>, ArtifactSource), PointError> {
-    let profile = ProfileSource::Train {
-        program: train,
-        config: ScalarConfig::default(),
-    };
-    compile_profiled(program, profile, sched, cache, store, tel)
-}
-
-fn compile_profiled<T: Telemetry>(
-    program: &ScalarProgram,
-    profile: ProfileSource<'_>,
-    sched: SchedConfig,
-    cache: &ArtifactCache,
-    store: Option<&DiskStore>,
-    tel: &T,
-) -> Result<(Arc<CompiledArtifact>, ArtifactSource), PointError> {
     let req = CompileRequest {
         program,
-        profile,
+        profile: ProfileSource::Train {
+            program: train,
+            config: ScalarConfig::default(),
+        },
         sched,
     };
     compile_stored(&req, cache, store, tel).map_err(PointError::Compile)
@@ -96,6 +84,11 @@ pub struct PointJob<'a> {
     config: ScalarConfig,
     golden: RunResult,
     expected: (Vec<i64>, Vec<i64>),
+    /// Every compile's request key but its scheduling configuration.
+    key_prefix: KeyPrefix,
+    /// The profile stage's memo key (`None` when self-trained: a
+    /// provided profile is not memoized).
+    profile_key: Option<u64>,
 }
 
 impl<'a> PointJob<'a> {
@@ -124,13 +117,38 @@ impl<'a> PointJob<'a> {
             .run()
             .map_err(PointError::Scalar)?;
         let expected = golden.observable(&program.live_out);
+        let profile = Self::profile_source(train, &golden);
+        let key_prefix = KeyPrefix::new(program, &profile);
+        let profile_key = match &profile {
+            ProfileSource::Train { program, config } => {
+                Some(CompileRequest::profile_key(program, config))
+            }
+            ProfileSource::Provided(_) => None,
+        };
         Ok(PointJob {
             program,
             train,
             config,
             golden,
             expected,
+            key_prefix,
+            profile_key,
         })
+    }
+
+    /// The profile every compile of the point schedules from: a
+    /// default-configured run of `train`, or the golden run's own.
+    fn profile_source<'p>(
+        train: Option<&'p ScalarProgram>,
+        golden: &'p RunResult,
+    ) -> ProfileSource<'p> {
+        match train {
+            Some(program) => ProfileSource::Train {
+                program,
+                config: ScalarConfig::default(),
+            },
+            None => ProfileSource::Provided(&golden.edge_profile),
+        }
     }
 
     /// The golden run (its cycles are the point's scalar baseline).  Its
@@ -142,7 +160,10 @@ impl<'a> PointJob<'a> {
     }
 
     /// Compiles the point for `sched` through the cache hierarchy: see
-    /// [`compile_stored`].
+    /// [`compile_stored`].  The request key is finished from the job's
+    /// key prefix, and the profile stage's memo key was computed with
+    /// the job, so the point's programs are hashed once however many
+    /// configurations it compiles.
     ///
     /// # Errors
     ///
@@ -154,13 +175,13 @@ impl<'a> PointJob<'a> {
         store: Option<&DiskStore>,
         tel: &T,
     ) -> Result<(Arc<CompiledArtifact>, ArtifactSource), PointError> {
-        match self.train {
-            Some(train) => compile_trained(self.program, train, sched, cache, store, tel),
-            None => {
-                let profile = ProfileSource::Provided(&self.golden.edge_profile);
-                compile_profiled(self.program, profile, sched, cache, store, tel)
-            }
-        }
+        let key = self.key_prefix.key(&sched);
+        let req = CompileRequest {
+            program: self.program,
+            profile: Self::profile_source(self.train, &self.golden),
+            sched,
+        };
+        compile_keyed(&req, key, self.profile_key, cache, store, tel).map_err(PointError::Compile)
     }
 
     /// `cfg` with the fields the point decides: the shadow provisioning
@@ -262,6 +283,22 @@ mod tests {
             max_cycles: 1 << 20,
             ..ScalarConfig::default()
         };
+        // The job finishes each key from its own prefix; every one must
+        // equal the request's key as `CompileRequest::key` hashes it.
+        let others = [
+            SchedConfig::new(Model::Global),
+            SchedConfig {
+                max_blocks: 32,
+                ..SchedConfig::new(Model::TracePred)
+            },
+            SchedConfig {
+                issue_width: 8,
+                resources: psb_isa::Resources::full_issue(8),
+                num_conds: 8,
+                depth: 2,
+                ..SchedConfig::new(Model::RegionPred)
+            },
+        ];
         let cache = ArtifactCache::new();
         for train in [None, Some(&train)] {
             let job = PointJob::new(&eval, train, golden.clone()).unwrap();
@@ -272,6 +309,21 @@ mod tests {
                 },
                 None => ProfileSource::Provided(&job.golden().edge_profile),
             };
+            let mut keys = std::collections::BTreeSet::new();
+            for other in &others {
+                let (art, _) = job
+                    .compile(other.clone(), &cache, None, &NullTelemetry)
+                    .unwrap();
+                let req = CompileRequest {
+                    program: &eval,
+                    profile: profile.clone(),
+                    sched: other.clone(),
+                };
+                assert_eq!(art.request_key, req.key(), "{other:?}");
+                assert_eq!(art.sched(), other);
+                keys.insert(art.request_key);
+            }
+            assert_eq!(keys.len(), others.len(), "distinct configurations");
             let (art, _) = job
                 .compile(sched.clone(), &cache, None, &NullTelemetry)
                 .unwrap();
@@ -300,6 +352,19 @@ mod tests {
                 "{err}"
             );
         }
+        // The job's profile memo key is the one `compile_stored` derives:
+        // a compile outside the job finds the job's training profile.
+        let before = cache.stats().profile_misses;
+        compile_trained(
+            &eval,
+            &train,
+            SchedConfig::new(Model::Boost),
+            &cache,
+            None,
+            &NullTelemetry,
+        )
+        .unwrap();
+        assert_eq!((before, cache.stats().profile_misses), (1, 1));
         let capped = ScalarConfig {
             max_cycles: 3,
             ..ScalarConfig::default()

@@ -4,33 +4,137 @@
 //! [`MultiOp`](psb_isa::MultiOp) word at PC (a `Vec` allocation) and walks
 //! [`SlotOp::srcs`] (another allocation per slot) to screen for operand
 //! hazards.  The tabled engine instead reads an arena decoded once at
-//! machine construction: `Copy` slots whose source-register sets are
-//! pre-folded into [`RegSet`] masks, plus per-word metadata that lets the
-//! normal-mode issue loop skip the store/control prepass and the
-//! fall-through region lookup when they cannot matter.  The per-cycle
-//! issue loop is then allocation-free and hazard screening is a single
-//! mask intersection per word.
+//! machine construction: `Copy` slots holding each operation lowered to a
+//! flat micro-op ([`Uop`]) with its source-register set pre-folded into a
+//! [`RegSet`] mask, plus per-word metadata that lets the normal-mode
+//! issue loop skip the store/control prepass and the fall-through region
+//! lookup when they cannot matter.  The per-cycle issue loop is then
+//! allocation-free, hazard screening is a single mask intersection per
+//! word, and each live slot dispatches through one `match` on the
+//! micro-op rather than one on [`SlotOp`] and a second on [`Op`].
 //!
 //! [`DecodedProgram::decode`] is the only constructor and the arena's
 //! fields are crate-private, so every arena a machine reads is decode's
 //! own output for some program; the machine checks that it is the
 //! decoding of the program it runs ([`DecodedProgram::matches`]).
 //!
-//! Both engines share the per-slot execution semantics
-//! (`VliwMachine::exec_slot_*`), so the decoded representation only changes
-//! *how fast* a word is inspected, never *what* it does; the differential
-//! fuzz harness holds the engines to byte-identical event logs.
+//! Both engines execute a live slot through the same micro-op match
+//! (`VliwMachine::exec_uop_*`): the tabled engine reads the micro-op from
+//! the arena, the legacy engine lowers the slot it reads from the program
+//! text with the same [`Uop::lower`].  The arena therefore changes only
+//! *how fast* a word is inspected, never *what* it does, and the legacy
+//! engine never reads it; the differential fuzz harness holds the
+//! engines to byte-identical event logs.
 
-use psb_isa::{Op, Predicate, RegSet, SlotOp, VliwProgram};
+use psb_isa::{AluOp, CmpOp, CondReg, Op, Predicate, Reg, RegSet, SlotOp, Src, VliwProgram};
 
-/// One decoded slot: the predicate and operation copied out of the
-/// program, plus the set of registers the operation reads.
+/// One slot operation as the machine executes it: [`SlotOp`] and its
+/// nested [`Op`] flattened into one level, keeping every field the
+/// machine reads.  The scheduler's memory-aliasing tags ([`psb_isa::MemTag`])
+/// are dropped: no machine path reads them.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) enum Uop {
+    /// No operation.
+    Nop,
+    /// `rd = a <op> b`.
+    Alu { op: AluOp, rd: Reg, a: Src, b: Src },
+    /// `rd = src`.
+    Copy { rd: Reg, src: Src },
+    /// `c = a <cmp> b`, one CCR entry.
+    SetCond {
+        c: CondReg,
+        cmp: CmpOp,
+        a: Src,
+        b: Src,
+    },
+    /// `rd = load(base + offset)`.
+    Load { rd: Reg, base: Src, offset: i64 },
+    /// `store(base + offset) = value`.
+    Store { base: Src, offset: i64, value: Src },
+    /// Predicated jump to a region entry.
+    Jump { target: usize },
+    /// Fused compare-and-branch, optionally writing its outcome to `c`.
+    CmpBr {
+        c: Option<CondReg>,
+        cmp: CmpOp,
+        a: Src,
+        b: Src,
+        target: usize,
+    },
+    /// Program end.
+    Halt,
+}
+
+impl Uop {
+    /// Lowers one slot operation.  Decode calls it once per slot; the
+    /// legacy engine calls it on every slot it issues from the program
+    /// text.
+    #[inline]
+    pub(crate) fn lower(op: &SlotOp) -> Uop {
+        match *op {
+            SlotOp::Op(Op::Nop) => Uop::Nop,
+            SlotOp::Op(Op::Alu { op, rd, a, b }) => Uop::Alu { op, rd, a, b },
+            SlotOp::Op(Op::Copy { rd, src }) => Uop::Copy { rd, src },
+            SlotOp::Op(Op::SetCond { c, cmp, a, b }) => Uop::SetCond { c, cmp, a, b },
+            SlotOp::Op(Op::Load {
+                rd, base, offset, ..
+            }) => Uop::Load { rd, base, offset },
+            SlotOp::Op(Op::Store {
+                base,
+                offset,
+                value,
+                ..
+            }) => Uop::Store {
+                base,
+                offset,
+                value,
+            },
+            SlotOp::Jump { target } => Uop::Jump { target },
+            SlotOp::CmpBr {
+                c,
+                cmp,
+                a,
+                b,
+                target,
+            } => Uop::CmpBr {
+                c,
+                cmp,
+                a,
+                b,
+                target,
+            },
+            SlotOp::Halt => Uop::Halt,
+        }
+    }
+
+    /// The general register the micro-op writes, if any (`r0` never
+    /// counts), as [`Op::def_reg`].
+    #[inline]
+    pub(crate) fn def_reg(&self) -> Option<Reg> {
+        match *self {
+            Uop::Alu { rd, .. } | Uop::Copy { rd, .. } | Uop::Load { rd, .. } => {
+                (!rd.is_zero()).then_some(rd)
+            }
+            _ => None,
+        }
+    }
+
+    /// Whether the micro-op is a control transfer (jump,
+    /// compare-and-branch or halt).
+    #[inline]
+    pub(crate) fn is_control(&self) -> bool {
+        matches!(self, Uop::Jump { .. } | Uop::CmpBr { .. } | Uop::Halt)
+    }
+}
+
+/// One decoded slot: the predicate copied out of the program, the
+/// operation lowered to a micro-op, and the set of registers it reads.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub(crate) struct DecodedSlot {
     /// The slot's commit condition.
     pub(crate) pred: Predicate,
-    /// The operation.
-    pub(crate) op: SlotOp,
+    /// The lowered operation.
+    pub(crate) op: Uop,
     /// The registers the operation reads (shadow or sequential source
     /// alike — both stall on an in-flight write).
     pub(crate) src_mask: RegSet,
@@ -61,7 +165,8 @@ pub(crate) struct DecodedWord {
 /// Built by [`DecodedProgram::decode`] at machine construction
 /// ([`Engine::Tabled`](crate::Engine::Tabled) reads it on every
 /// normal-mode cycle; [`Engine::Legacy`](crate::Engine::Legacy) ignores
-/// it and re-decodes per cycle as the differential oracle).
+/// it and lowers each slot from the program text as the differential
+/// oracle).
 #[derive(Clone, PartialEq, Debug)]
 pub struct DecodedProgram {
     /// Per-word metadata, indexed by word address.
@@ -69,11 +174,6 @@ pub struct DecodedProgram {
     /// All slots, grouped by word (`words[a]` owns
     /// `slots[first_slot..first_slot + num_slots]`).
     pub(crate) slots: Vec<DecodedSlot>,
-}
-
-/// The set of registers read by `op`.
-fn src_mask(op: &SlotOp) -> RegSet {
-    op.srcs().iter().filter_map(|s| s.as_reg()).collect()
 }
 
 /// Whether falling through word `addr` of `prog` enters a new region.
@@ -94,18 +194,13 @@ impl DecodedProgram {
             let mut src_union = RegSet::EMPTY;
             let mut prepass = false;
             for slot in &word.slots {
-                let mask = src_mask(&slot.op);
+                let op = Uop::lower(&slot.op);
+                let mask = slot.op.used_regs();
                 src_union = src_union.union(mask);
-                prepass |= matches!(
-                    slot.op,
-                    SlotOp::Op(Op::Store { .. })
-                        | SlotOp::Jump { .. }
-                        | SlotOp::CmpBr { .. }
-                        | SlotOp::Halt
-                );
+                prepass |= op.is_control() || matches!(op, Uop::Store { .. });
                 slots.push(DecodedSlot {
                     pred: slot.pred,
-                    op: slot.op,
+                    op,
                     src_mask: mask,
                 });
             }
@@ -122,9 +217,12 @@ impl DecodedProgram {
 
     /// Whether this arena is the decoding of `prog`, checked in one pass
     /// without decoding again: the same words, each with the same slots
-    /// (predicate and op) and the same fall-through region flag.  The
-    /// masks, the prepass flag and the slot offsets follow from those,
-    /// since [`decode`](Self::decode) built them.
+    /// (predicate and lowered op) and the same fall-through region flag.
+    /// The masks, the prepass flag and the slot offsets follow from
+    /// those, since [`decode`](Self::decode) built them.  Lowering drops
+    /// the memory-aliasing tags, which the machine never reads, so an
+    /// arena also matches a program that differs from its own only in
+    /// those tags: both run identically.
     pub(crate) fn matches(&self, prog: &VliwProgram) -> bool {
         self.words.len() == prog.words.len()
             && self
@@ -139,7 +237,7 @@ impl DecodedProgram {
                         && slots
                             .iter()
                             .zip(&word.slots)
-                            .all(|(d, s)| d.pred == s.pred && d.op == s.op)
+                            .all(|(d, s)| d.pred == s.pred && d.op == Uop::lower(&s.op))
                 })
     }
 
@@ -159,7 +257,7 @@ impl DecodedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psb_isa::{AluOp, MemImage, MemTag, MultiOp, Reg, Slot, Src};
+    use psb_isa::{MemImage, MemTag, MultiOp, Slot};
 
     fn prog() -> VliwProgram {
         let r = Reg::new;
@@ -232,7 +330,193 @@ mod tests {
             a: Src::imm(3),
             b: Src::reg(r(7)),
         });
-        assert_eq!(src_mask(&op), regs(&[7]));
-        assert_eq!(src_mask(&SlotOp::Jump { target: 0 }), RegSet::EMPTY);
+        let mut p = prog();
+        p.words[1].slots[0].op = op;
+        assert_eq!(DecodedProgram::decode(&p).slots[2].src_mask, regs(&[7]));
+        assert_eq!(SlotOp::Jump { target: 0 }.used_regs(), RegSet::EMPTY);
+    }
+
+    #[test]
+    fn lowering_keeps_every_field_the_machine_reads() {
+        let r = Reg::new;
+        let c = CondReg::new;
+        let (a, b) = (Src::shadow(r(2)), Src::imm(-9));
+        let tag = MemTag(7);
+        // One case per `SlotOp`/`Op` variant, with the micro-op it must
+        // lower to, its source set and its written register.
+        let cases = [
+            (SlotOp::Op(Op::Nop), Uop::Nop, vec![], None),
+            (
+                SlotOp::Op(Op::Alu {
+                    op: AluOp::Sra,
+                    rd: r(3),
+                    a,
+                    b: Src::reg(r(4)),
+                }),
+                Uop::Alu {
+                    op: AluOp::Sra,
+                    rd: r(3),
+                    a,
+                    b: Src::reg(r(4)),
+                },
+                vec![2, 4],
+                Some(r(3)),
+            ),
+            (
+                SlotOp::Op(Op::Copy { rd: r(5), src: a }),
+                Uop::Copy { rd: r(5), src: a },
+                vec![2],
+                Some(r(5)),
+            ),
+            (
+                SlotOp::Op(Op::SetCond {
+                    c: c(3),
+                    cmp: CmpOp::Le,
+                    a,
+                    b,
+                }),
+                Uop::SetCond {
+                    c: c(3),
+                    cmp: CmpOp::Le,
+                    a,
+                    b,
+                },
+                vec![2],
+                None,
+            ),
+            (
+                SlotOp::Op(Op::Load {
+                    rd: r(6),
+                    base: a,
+                    offset: -4,
+                    tag,
+                }),
+                Uop::Load {
+                    rd: r(6),
+                    base: a,
+                    offset: -4,
+                },
+                vec![2],
+                Some(r(6)),
+            ),
+            (
+                SlotOp::Op(Op::Load {
+                    rd: Reg::ZERO,
+                    base: b,
+                    offset: 1,
+                    tag,
+                }),
+                Uop::Load {
+                    rd: Reg::ZERO,
+                    base: b,
+                    offset: 1,
+                },
+                vec![],
+                None,
+            ),
+            (
+                SlotOp::Op(Op::Store {
+                    base: Src::reg(r(8)),
+                    offset: 12,
+                    value: a,
+                    tag,
+                }),
+                Uop::Store {
+                    base: Src::reg(r(8)),
+                    offset: 12,
+                    value: a,
+                },
+                vec![2, 8],
+                None,
+            ),
+            (
+                SlotOp::Jump { target: 41 },
+                Uop::Jump { target: 41 },
+                vec![],
+                None,
+            ),
+            (
+                SlotOp::CmpBr {
+                    c: Some(c(1)),
+                    cmp: CmpOp::Gt,
+                    a: Src::reg(r(9)),
+                    b: a,
+                    target: 17,
+                },
+                Uop::CmpBr {
+                    c: Some(c(1)),
+                    cmp: CmpOp::Gt,
+                    a: Src::reg(r(9)),
+                    b: a,
+                    target: 17,
+                },
+                vec![2, 9],
+                None,
+            ),
+            (
+                SlotOp::CmpBr {
+                    c: None,
+                    cmp: CmpOp::Eq,
+                    a: b,
+                    b,
+                    target: 3,
+                },
+                Uop::CmpBr {
+                    c: None,
+                    cmp: CmpOp::Eq,
+                    a: b,
+                    b,
+                    target: 3,
+                },
+                vec![],
+                None,
+            ),
+            (SlotOp::Halt, Uop::Halt, vec![], None),
+        ];
+        for (slot_op, want, srcs, def) in cases {
+            let uop = Uop::lower(&slot_op);
+            assert_eq!(uop, want, "{slot_op:?}");
+            // Decode's mask is the set of the program op's own sources.
+            let from_srcs: RegSet = slot_op.srcs().iter().filter_map(|s| s.as_reg()).collect();
+            assert_eq!(slot_op.used_regs(), regs(&srcs), "{slot_op:?}");
+            assert_eq!(from_srcs, regs(&srcs), "{slot_op:?}");
+            assert_eq!(uop.def_reg(), def, "{slot_op:?}");
+            if let SlotOp::Op(op) = slot_op {
+                assert_eq!(uop.def_reg(), op.def_reg(), "{slot_op:?}");
+            }
+            let control = matches!(
+                slot_op,
+                SlotOp::Jump { .. } | SlotOp::CmpBr { .. } | SlotOp::Halt
+            );
+            assert_eq!(uop.is_control(), control, "{slot_op:?}");
+        }
+    }
+
+    #[test]
+    fn matches_rejects_an_arena_one_operand_off() {
+        let p = prog();
+        let d = DecodedProgram::decode(&p);
+        assert!(d.matches(&p));
+        // The store's offset, then the alu's second source register.
+        let mut off = p.clone();
+        if let SlotOp::Op(Op::Store { offset, .. }) = &mut off.words[0].slots[1].op {
+            *offset = 1;
+        }
+        assert!(!d.matches(&off), "store offset differs");
+        let mut src = p.clone();
+        if let SlotOp::Op(Op::Alu { b, .. }) = &mut src.words[0].slots[0].op {
+            *b = Src::shadow(Reg::new(2));
+        }
+        assert!(!d.matches(&src), "shadow bit differs");
+        if let SlotOp::Op(Op::Alu { b, .. }) = &mut src.words[0].slots[0].op {
+            *b = Src::reg(Reg::new(6));
+        }
+        assert!(!d.matches(&src), "source register differs");
+        // Memory tags are not lowered: the machine never reads them.
+        let mut tagged = p.clone();
+        if let SlotOp::Op(Op::Store { tag, .. }) = &mut tagged.words[0].slots[1].op {
+            *tag = MemTag(3);
+        }
+        assert!(d.matches(&tagged), "only the aliasing tag differs");
     }
 }

@@ -283,8 +283,10 @@ pub fn run_workload(
 
 /// Runs every `(model, params)` point on one workload pair as one point
 /// job: a single golden run of the evaluation program, then a compile
-/// and a golden-checked machine run per point.  `models[i]` of the
-/// result is point `i`.
+/// and a golden-checked machine run per distinct point.  A point whose
+/// scheduling and machine configurations both equal an earlier point's
+/// would simulate the same run, so it takes that point's result.
+/// `models[i]` of the result is point `i`.
 ///
 /// # Panics
 ///
@@ -297,30 +299,35 @@ pub(crate) fn run_points(
     let name = eval.name;
     let job = PointJob::new(&eval.program, Some(&train.program), ScalarConfig::default())
         .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let models = points
-        .iter()
-        .map(|&(model, ref params)| {
-            let fail = |e: PointError| -> ! { panic!("{name}/{model}: {e}") };
-            let (art, _) = job
-                .compile(params.sched_config(model), cache, None, &NullTelemetry)
-                .unwrap_or_else(|e| fail(e));
-            let res = job
-                .run(&art, params.machine_config())
-                .unwrap_or_else(|e| fail(e));
-            ModelResult {
-                model: model.name().to_string(),
-                vliw_cycles: res.cycles,
-                speedup: job.golden().cycles as f64 / res.cycles as f64,
-                static_ops: art.program.static_ops(),
-                squashed_ops: res.ops_squashed,
-                recoveries: res.recoveries,
-                stall_ifetch: res.stall_ifetch,
-                stall_load_miss: res.stall_load_miss,
-                icache: (res.icache_accesses, res.icache_misses),
-                dcache: (res.dcache_accesses, res.dcache_misses),
+    let mut configs: Vec<(SchedConfig, MachineConfig)> = Vec::with_capacity(points.len());
+    let mut models: Vec<ModelResult> = Vec::with_capacity(points.len());
+    for &(model, ref params) in points {
+        let config = (params.sched_config(model), params.machine_config());
+        let result = match configs.iter().position(|c| *c == config) {
+            Some(earlier) => models[earlier].clone(),
+            None => {
+                let fail = |e: PointError| -> ! { panic!("{name}/{model}: {e}") };
+                let (art, _) = job
+                    .compile(config.0.clone(), cache, None, &NullTelemetry)
+                    .unwrap_or_else(|e| fail(e));
+                let res = job.run(&art, config.1.clone()).unwrap_or_else(|e| fail(e));
+                ModelResult {
+                    model: model.name().to_string(),
+                    vliw_cycles: res.cycles,
+                    speedup: job.golden().cycles as f64 / res.cycles as f64,
+                    static_ops: art.program.static_ops(),
+                    squashed_ops: res.ops_squashed,
+                    recoveries: res.recoveries,
+                    stall_ifetch: res.stall_ifetch,
+                    stall_load_miss: res.stall_load_miss,
+                    icache: (res.icache_accesses, res.icache_misses),
+                    dcache: (res.dcache_accesses, res.dcache_misses),
+                }
             }
-        })
-        .collect();
+        };
+        configs.push(config);
+        models.push(result);
+    }
     BenchResult {
         name: name.to_string(),
         static_len: eval.program.static_len(),
@@ -544,6 +551,38 @@ mod tests {
         let (g, p) = (grid_cache.stats(), point_cache.stats());
         assert_eq!((g.misses, g.profile_misses), (p.misses, p.profile_misses));
         assert_eq!((g.misses, g.profile_misses), (24, 6));
+    }
+
+    #[test]
+    fn an_identical_point_takes_the_earlier_result() {
+        let params = EvalParams {
+            size: 96,
+            ..EvalParams::default()
+        };
+        // The second point differs only in a field neither configuration
+        // reads; the third differs in the machine.
+        let same = EvalParams {
+            jobs: 4,
+            ..params.clone()
+        };
+        let penalty = EvalParams {
+            jump_penalty: 2,
+            ..params.clone()
+        };
+        let points = [
+            (Model::RegionPred, params.clone()),
+            (Model::RegionPred, same),
+            (Model::RegionPred, penalty.clone()),
+        ];
+        let cache = ArtifactCache::new();
+        let res = run_points(&workload_pair("li", &params), &points, &cache);
+        assert_eq!(res.models[0], res.models[1]);
+        let alone = run_workload("li", &[Model::RegionPred], &penalty, &ArtifactCache::new());
+        assert_eq!(res.models[2], alone.models[0]);
+        // The repeat is neither compiled nor looked up; the third point
+        // shares the first one's artifact.
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
     }
 
     #[test]

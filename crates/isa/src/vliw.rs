@@ -3,6 +3,7 @@
 use crate::op::{CmpOp, Op, Src};
 use crate::pred::Predicate;
 use crate::reg::{CondReg, Reg, MAX_CONDS};
+use crate::regset::RegSet;
 use crate::scalar::MemImage;
 
 /// Function-unit counts of a datapath, shared by the machine (which
@@ -125,6 +126,16 @@ impl SlotOp {
             SlotOp::Op(op) => op.srcs(),
             SlotOp::CmpBr { a, b, .. } => vec![*a, *b],
             SlotOp::Jump { .. } | SlotOp::Halt => vec![],
+        }
+    }
+
+    /// The registers read by this slot operation, as a set (immediates
+    /// skipped).
+    pub fn used_regs(&self) -> RegSet {
+        match self {
+            SlotOp::Op(op) => op.used_regs(),
+            SlotOp::CmpBr { a, b, .. } => a.reg_set().union(b.reg_set()),
+            SlotOp::Jump { .. } | SlotOp::Halt => RegSet::EMPTY,
         }
     }
 }

@@ -22,8 +22,7 @@
 //!   that exit.
 
 use crate::ops::SchedOp;
-use psb_isa::{CondReg, Op, Predicate, Reg, SlotOp, Src};
-use std::collections::HashMap;
+use psb_isa::{Op, Predicate, Reg, SlotOp, Src, MAX_CONDS, NUM_REGS};
 
 /// Unsafe-op hoisting discipline.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,11 +80,12 @@ pub fn build_dag(ops: &mut [SchedOp], policy: &Policy) -> Dag {
 
     // Condition setters (condition-set ops or condition-writing
     // compare-and-branch), and control ops in program order.
-    let mut setter: HashMap<CondReg, usize> = HashMap::new();
+    // Indexed by condition register: the last setter of each.
+    let mut setter: [Option<usize>; MAX_CONDS] = [None; MAX_CONDS];
     let mut controls: Vec<usize> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         if let Some(c) = op.sets_cond() {
-            setter.insert(c, i);
+            setter[c.index()] = Some(i);
         }
         if op.is_control() {
             controls.push(i);
@@ -93,7 +93,7 @@ pub fn build_dag(ops: &mut [SchedOp], policy: &Policy) -> Dag {
     }
     let resolve = |succs: &mut Vec<Vec<(usize, u64)>>, pred: &Predicate, to: usize, lat: u64| {
         for (c, _) in pred.terms() {
-            if let Some(&s) = setter.get(&c) {
+            if let Some(s) = setter[c.index()] {
                 if s < to {
                     succs[s].push((to, lat));
                 }
@@ -101,10 +101,10 @@ pub fn build_dag(ops: &mut [SchedOp], policy: &Policy) -> Dag {
         }
     };
 
-    // Per-register tracking: definitions (op, node) and readers since the
-    // last definition.
-    let mut defs: HashMap<Reg, Vec<usize>> = HashMap::new();
-    let mut readers: HashMap<Reg, Vec<usize>> = HashMap::new();
+    // Per-register tracking, indexed by register: definitions and
+    // readers, each in program order.
+    let mut defs: Vec<Vec<usize>> = vec![Vec::new(); NUM_REGS];
+    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); NUM_REGS];
     let mut mem_ops: Vec<usize> = Vec::new();
 
     for j in 0..n {
@@ -117,18 +117,14 @@ pub fn build_dag(ops: &mut [SchedOp], policy: &Policy) -> Dag {
             if r.is_zero() {
                 continue;
             }
-            readers.entry(r).or_default().push(j);
+            readers[r.index()].push(j);
             // All earlier defs on compatible (non-disjoint) paths; the
             // last one is the producer when it dominates the reader.
-            let compatible: Vec<usize> = defs
-                .get(&r)
-                .map(|v| {
-                    v.iter()
-                        .copied()
-                        .filter(|&d| !ops[d].home.disjoint(&op.home))
-                        .collect()
-                })
-                .unwrap_or_default();
+            let compatible: Vec<usize> = defs[r.index()]
+                .iter()
+                .copied()
+                .filter(|&d| !ops[d].home.disjoint(&op.home))
+                .collect();
             let Some(&p) = compatible.last() else {
                 continue;
             };
@@ -138,7 +134,7 @@ pub fn build_dag(ops: &mut [SchedOp], policy: &Policy) -> Dag {
                 // producer's result is buffered there.
                 if !ops[p].pred.is_always() {
                     let weak_reader = op.is_control() || op.is_setcond();
-                    let multiple_spec_writers = defs[&r]
+                    let multiple_spec_writers = defs[r.index()]
                         .iter()
                         .filter(|&&d| !ops[d].pred.is_always() && ops[d].pred != ops[p].pred)
                         .count()
@@ -173,41 +169,37 @@ pub fn build_dag(ops: &mut [SchedOp], policy: &Policy) -> Dag {
 
         // --- WAR / WAW on j's definition. ---
         if let Some(rd) = def_reg_of(&op.slot_op) {
-            if let Some(rs) = readers.get(&rd) {
-                for &r_i in rs {
-                    if r_i == j || ops[r_i].home.disjoint(&op.home) {
-                        continue;
-                    }
-                    // Anti dependence: the read happens at issue, the write
-                    // at end of cycle, so the same cycle is fine.
-                    add(&mut succs, r_i, j, 0);
-                    // Recovery safety: a speculative reader may re-execute
-                    // during recovery and must still find its operand.
-                    let rp = ops[r_i].pred;
-                    if !rp.is_always() && !op.pred.implies(&rp) && !op.pred.disjoint(&rp) {
-                        resolve(&mut succs, &rp, j, 1);
-                    }
+            for &r_i in &readers[rd.index()] {
+                if r_i == j || ops[r_i].home.disjoint(&op.home) {
+                    continue;
+                }
+                // Anti dependence: the read happens at issue, the write
+                // at end of cycle, so the same cycle is fine.
+                add(&mut succs, r_i, j, 0);
+                // Recovery safety: a speculative reader may re-execute
+                // during recovery and must still find its operand.
+                let rp = ops[r_i].pred;
+                if !rp.is_always() && !op.pred.implies(&rp) && !op.pred.disjoint(&rp) {
+                    resolve(&mut succs, &rp, j, 1);
                 }
             }
-            if let Some(ds) = defs.get(&rd) {
-                for &d in ds.iter() {
-                    let dp = ops[d].pred;
-                    if ops[d].home.disjoint(&op.home) {
-                        // Parallel-path writers share no execution, but
-                        // under a single shadow register their buffered
-                        // values would collide.
-                        if policy.single_shadow && !dp.is_always() && !op.pred.is_always() {
-                            resolve(&mut succs, &dp, j, 1);
-                        }
-                        continue;
-                    }
-                    add(&mut succs, d, j, 1);
-                    if policy.single_shadow && !dp.is_always() && dp != op.pred {
+            for &d in &defs[rd.index()] {
+                let dp = ops[d].pred;
+                if ops[d].home.disjoint(&op.home) {
+                    // Parallel-path writers share no execution, but
+                    // under a single shadow register their buffered
+                    // values would collide.
+                    if policy.single_shadow && !dp.is_always() && !op.pred.is_always() {
                         resolve(&mut succs, &dp, j, 1);
                     }
+                    continue;
+                }
+                add(&mut succs, d, j, 1);
+                if policy.single_shadow && !dp.is_always() && dp != op.pred {
+                    resolve(&mut succs, &dp, j, 1);
                 }
             }
-            defs.entry(rd).or_default().push(j);
+            defs[rd.index()].push(j);
             // Readers are never cleared: a definition on one path must not
             // hide readers on parallel paths from later writers (WAR edges
             // to already-ordered readers are redundant but harmless).
@@ -256,7 +248,7 @@ pub fn build_dag(ops: &mut [SchedOp], policy: &Policy) -> Dag {
             let pred_setters: Vec<usize> = op
                 .pred
                 .terms()
-                .filter_map(|(c, _)| setter.get(&c).copied())
+                .filter_map(|(c, _)| setter[c.index()])
                 .filter(|&s| s < j)
                 .collect();
             if policy.linear {
@@ -330,7 +322,7 @@ pub fn build_dag(ops: &mut [SchedOp], policy: &Policy) -> Dag {
         }
     }
     for &x in &controls {
-        let Some(exit_cond) = ops[x].exit_cond.clone() else {
+        let Some(exit_cond) = ops[x].exit_cond else {
             continue;
         };
         for (y, op) in ops.iter().enumerate() {
@@ -511,7 +503,7 @@ mod tests {
                     src: Src::imm(1),
                 }),
                 Predicate::always().and_pos(c0),
-                home.clone(),
+                home,
                 1,
                 1,
             ),

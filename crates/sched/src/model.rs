@@ -4,6 +4,7 @@
 use crate::dag::{build_dag, Hoist, Policy};
 use crate::list::{list_schedule, ScheduledScope};
 use crate::ops::{build_ops, Style};
+use crate::pathcond::PathCond;
 use crate::scope::{form_scopes, ScopeParams};
 use psb_ir::{Cfg, Liveness, RegSet};
 use psb_isa::{BlockId, Resources, ScalarProgram, SlotOp, VliwProgram};
@@ -87,7 +88,9 @@ pub struct SchedConfig {
     /// Maximum conditions an instruction may pass unresolved (`D` in
     /// Figure 8).
     pub depth: usize,
-    /// Scope size cap in blocks for the large-window models.
+    /// Scope size cap in blocks for the large-window models; at most
+    /// [`PathCond::MAX_NODES`] (64), the width of a path condition's node
+    /// masks.
     pub max_blocks: usize,
     /// Schedule for the single-shadow register file (serialise conflicting
     /// speculative writes); disable for the infinite-shadow ablation.
@@ -160,6 +163,13 @@ impl SchedConfig {
 /// A scheduling failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SchedError {
+    /// [`SchedConfig::max_blocks`] exceeds [`PathCond::MAX_NODES`]: a
+    /// scope that large could hold branch nodes past the path-condition
+    /// masks.
+    ScopeTooWide {
+        /// The requested scope size cap.
+        max_blocks: usize,
+    },
     /// The produced program failed validation (a scheduler bug).
     Invalid(String),
 }
@@ -167,6 +177,11 @@ pub enum SchedError {
 impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            SchedError::ScopeTooWide { max_blocks } => write!(
+                f,
+                "max_blocks {max_blocks} exceeds the {}-block scope limit",
+                PathCond::MAX_NODES
+            ),
             SchedError::Invalid(m) => write!(f, "scheduler produced invalid code: {m}"),
         }
     }
@@ -179,13 +194,20 @@ impl std::error::Error for SchedError {}
 ///
 /// # Errors
 ///
-/// [`SchedError::Invalid`] if the emitted program fails validation — this
-/// indicates a scheduler bug, not bad input.
+/// [`SchedError::ScopeTooWide`] if `cfg.max_blocks` exceeds
+/// [`PathCond::MAX_NODES`], whatever the model; [`SchedError::Invalid`]
+/// if the emitted program fails validation — this indicates a scheduler
+/// bug, not bad input.
 pub fn schedule(
     prog: &ScalarProgram,
     profile: &EdgeProfile,
     cfg: &SchedConfig,
 ) -> Result<VliwProgram, SchedError> {
+    if cfg.max_blocks > PathCond::MAX_NODES {
+        return Err(SchedError::ScopeTooWide {
+            max_blocks: cfg.max_blocks,
+        });
+    }
     let cfg_graph = Cfg::new(prog);
     let lv = Liveness::new(prog, &cfg_graph);
     let used = used_regs(prog);

@@ -165,24 +165,23 @@ pub fn build_ops(
 fn build_predicated(prog: &ScalarProgram, scope: &Scope) -> Vec<SchedOp> {
     let mut ops = Vec::new();
     for (idx, node) in scope.nodes.iter().enumerate() {
-        let home = node.path.clone();
+        let home = node.path;
         let level = home.depth();
         let pred = home.to_predicate(&scope.cond_of_branch);
         for &op in &prog.block(node.orig).instrs {
-            ops.push(SchedOp::new(SlotOp::Op(op), pred, home.clone(), idx, level));
+            ops.push(SchedOp::new(SlotOp::Op(op), pred, home, idx, level));
         }
         match prog.block(node.orig).term {
             Terminator::Halt => {
-                let mut h = SchedOp::new(SlotOp::Halt, pred, home.clone(), idx, level);
-                h.exit_cond = Some(home.clone());
+                let mut h = SchedOp::new(SlotOp::Halt, pred, home, idx, level);
+                h.exit_cond = Some(home);
                 ops.push(h);
             }
             Terminator::Jump(t) => match node.edges[0] {
                 ScopeEdge::Internal(_) => {}
                 ScopeEdge::Exit(_) => {
-                    let mut j =
-                        SchedOp::new(SlotOp::Jump { target: 0 }, pred, home.clone(), idx, level);
-                    j.exit_cond = Some(home.clone());
+                    let mut j = SchedOp::new(SlotOp::Jump { target: 0 }, pred, home, idx, level);
+                    j.exit_cond = Some(home);
                     j.exit_target = Some(t);
                     ops.push(j);
                 }
@@ -198,7 +197,7 @@ fn build_predicated(prog: &ScalarProgram, scope: &Scope) -> Vec<SchedOp> {
                     ops.push(SchedOp::new(
                         SlotOp::Op(Op::SetCond { c, cmp, a, b }),
                         Predicate::always(),
-                        home.clone(),
+                        home,
                         idx,
                         level,
                     ));
@@ -207,13 +206,8 @@ fn build_predicated(prog: &ScalarProgram, scope: &Scope) -> Vec<SchedOp> {
                         if let ScopeEdge::Exit(_) = node.edges[e] {
                             let exit_path = home.extend(idx, polarity);
                             let jpred = exit_path.to_predicate(&scope.cond_of_branch);
-                            let mut j = SchedOp::new(
-                                SlotOp::Jump { target: 0 },
-                                jpred,
-                                home.clone(),
-                                idx,
-                                level,
-                            );
+                            let mut j =
+                                SchedOp::new(SlotOp::Jump { target: 0 }, jpred, home, idx, level);
                             j.exit_cond = Some(exit_path);
                             j.exit_target = Some(target);
                             ops.push(j);
@@ -231,7 +225,7 @@ fn build_predicated(prog: &ScalarProgram, scope: &Scope) -> Vec<SchedOp> {
                             target: 0,
                         },
                         pred,
-                        home.clone(),
+                        home,
                         idx,
                         level,
                     );
@@ -239,8 +233,7 @@ fn build_predicated(prog: &ScalarProgram, scope: &Scope) -> Vec<SchedOp> {
                     cb.exit_target = Some(taken);
                     let cb_idx = ops.len();
                     ops.push(cb);
-                    let mut j =
-                        SchedOp::new(SlotOp::Jump { target: 0 }, pred, home.clone(), idx, level);
+                    let mut j = SchedOp::new(SlotOp::Jump { target: 0 }, pred, home, idx, level);
                     j.exit_cond = Some(home.extend(idx, false));
                     j.exit_target = Some(not_taken);
                     j.after = Some(cb_idx);
@@ -283,7 +276,7 @@ fn build_linear(
                     homes.push(homes[p].extend(p, false));
                     levels.push(levels[p] + 1);
                 } else {
-                    homes.push(homes[p].clone());
+                    homes.push(homes[p]);
                     levels.push(levels[p]);
                 }
             }
@@ -338,7 +331,7 @@ fn build_linear(
     };
 
     for (idx, node) in scope.nodes.iter().enumerate() {
-        let home = homes[idx].clone();
+        let home = homes[idx];
         let level = levels[idx];
         // Boosting buffers results under the on-trace predicate; the
         // renaming styles issue everything `alw` except predicated unsafe
@@ -349,13 +342,7 @@ fn build_linear(
             match rename {
                 None => {
                     // Boosting: predicate everything, rename nothing.
-                    ops.push(SchedOp::new(
-                        SlotOp::Op(op),
-                        trace_pred,
-                        home.clone(),
-                        idx,
-                        level,
-                    ));
+                    ops.push(SchedOp::new(SlotOp::Op(op), trace_pred, home, idx, level));
                 }
                 Some(pred_unsafe) => {
                     let mut emitted = op;
@@ -371,13 +358,7 @@ fn build_linear(
                                 } else {
                                     Predicate::always()
                                 };
-                                ops.push(SchedOp::new(
-                                    SlotOp::Op(emitted),
-                                    pred,
-                                    home.clone(),
-                                    idx,
-                                    level,
-                                ));
+                                ops.push(SchedOp::new(SlotOp::Op(emitted), pred, home, idx, level));
                                 if future_live[idx].contains(r) {
                                     let mut cp = SchedOp::new(
                                         SlotOp::Op(Op::Copy {
@@ -385,7 +366,7 @@ fn build_linear(
                                             src: Src::reg(fresh),
                                         }),
                                         Predicate::always(),
-                                        home.clone(),
+                                        home,
                                         idx,
                                         level,
                                     );
@@ -405,7 +386,7 @@ fn build_linear(
                     } else {
                         Predicate::always()
                     };
-                    let mut so = SchedOp::new(SlotOp::Op(emitted), pred, home.clone(), idx, level);
+                    let mut so = SchedOp::new(SlotOp::Op(emitted), pred, home, idx, level);
                     so.pinned = pinned || is_store;
                     ops.push(so);
                 }
@@ -413,9 +394,8 @@ fn build_linear(
         }
         match prog.block(node.orig).term {
             Terminator::Halt => {
-                let mut h =
-                    SchedOp::new(SlotOp::Halt, Predicate::always(), home.clone(), idx, level);
-                h.exit_cond = Some(home.clone());
+                let mut h = SchedOp::new(SlotOp::Halt, Predicate::always(), home, idx, level);
+                h.exit_cond = Some(home);
                 ops.push(h);
             }
             Terminator::Jump(t) => match node.edges[0] {
@@ -424,11 +404,11 @@ fn build_linear(
                     let mut j = SchedOp::new(
                         SlotOp::Jump { target: 0 },
                         Predicate::always(),
-                        home.clone(),
+                        home,
                         idx,
                         level,
                     );
-                    j.exit_cond = Some(home.clone());
+                    j.exit_cond = Some(home);
                     j.exit_target = Some(t);
                     ops.push(j);
                 }
@@ -461,7 +441,7 @@ fn build_linear(
                                 target: 0,
                             },
                             Predicate::always(),
-                            home.clone(),
+                            home,
                             idx,
                             level,
                         );
@@ -479,7 +459,7 @@ fn build_linear(
                                 target: 0,
                             },
                             Predicate::always(),
-                            home.clone(),
+                            home,
                             idx,
                             level,
                         );
@@ -499,7 +479,7 @@ fn build_linear(
                                 target: 0,
                             },
                             Predicate::always(),
-                            home.clone(),
+                            home,
                             idx,
                             level,
                         );
@@ -510,7 +490,7 @@ fn build_linear(
                         let mut j = SchedOp::new(
                             SlotOp::Jump { target: 0 },
                             Predicate::always(),
-                            home.clone(),
+                            home,
                             idx,
                             level,
                         );

@@ -8,18 +8,41 @@
 //! per branch node on that path.  Terms are keyed by the *scope node index*
 //! of the branch (not the CFG block), since duplication can place the same
 //! CFG block at several tree positions.
+//!
+//! # Representation
+//!
+//! A condition is two node bitmasks, the way the machine holds a
+//! [`Predicate`] as two condition masks (Section 3.2's masked match): bit
+//! `n` of `on` is set when branch node `n` is on the path, and bit `n` of
+//! `taken` when its polarity is true (`taken` is always a subset of `on`,
+//! so equality stays structural).  A condition is therefore `Copy`, and
+//! [`extend`](PathCond::extend), [`implies`](PathCond::implies),
+//! [`disjoint`](PathCond::disjoint) and [`merge`](PathCond::merge) are a
+//! few mask operations with no allocation.  The price is a node limit:
+//! a scope may have at most [`PathCond::MAX_NODES`] nodes, so
+//! [`schedule`](crate::schedule) rejects a wider
+//! [`SchedConfig::max_blocks`](crate::SchedConfig::max_blocks) with
+//! [`SchedError::ScopeTooWide`](crate::SchedError::ScopeTooWide).
 
 use psb_isa::{CondReg, Predicate};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// An ANDed set of branch outcomes along the unique path from a scope
 /// header to a node.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct PathCond {
-    terms: BTreeMap<usize, bool>,
+    /// Branch nodes on the path, one bit per scope node index.
+    on: u64,
+    /// The nodes of `on` whose outcome on the path is `true`.
+    taken: u64,
 }
 
 impl PathCond {
+    /// The most scope nodes a path condition can name: node indices
+    /// `0..MAX_NODES`, one bit each.
+    pub const MAX_NODES: usize = u64::BITS as usize;
+
     /// The empty condition (the scope header's path).
     pub fn root() -> PathCond {
         PathCond::default()
@@ -30,50 +53,60 @@ impl PathCond {
     /// # Panics
     ///
     /// Panics if the branch already appears (a path passes each tree node
-    /// once).
+    /// once), or if `branch_node` is not below [`MAX_NODES`](Self::MAX_NODES).
     #[must_use]
     pub fn extend(&self, branch_node: usize, taken: bool) -> PathCond {
-        let mut t = self.terms.clone();
-        let prev = t.insert(branch_node, taken);
         assert!(
-            prev.is_none(),
+            branch_node < Self::MAX_NODES,
+            "branch node {branch_node} is past the {}-node path limit",
+            Self::MAX_NODES
+        );
+        let bit = 1u64 << branch_node;
+        assert!(
+            self.on & bit == 0,
             "branch node {branch_node} already on the path"
         );
-        PathCond { terms: t }
+        PathCond {
+            on: self.on | bit,
+            taken: if taken { self.taken | bit } else { self.taken },
+        }
     }
 
     /// Number of branches on the path (the speculation depth of
     /// instructions at this node).
     pub fn depth(&self) -> usize {
-        self.terms.len()
+        self.on.count_ones() as usize
     }
 
     /// Whether this is the header's (empty) condition.
     pub fn is_root(&self) -> bool {
-        self.terms.is_empty()
+        self.on == 0
     }
 
     /// The `(branch_node, polarity)` terms in path (tree) order — branch
     /// node indices increase from root to leaf because scope formation
     /// numbers nodes in growth order.
-    pub fn terms(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
-        self.terms.iter().map(|(&k, &v)| (k, v))
+    pub fn terms(&self) -> impl Iterator<Item = (usize, bool)> {
+        let (mut rest, taken) = (self.on, self.taken);
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let node = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some((node, taken >> node & 1 == 1))
+        })
     }
 
     /// Whether `self` implies `other` (its terms are a superset).
     pub fn implies(&self, other: &PathCond) -> bool {
-        other
-            .terms
-            .iter()
-            .all(|(k, v)| self.terms.get(k) == Some(v))
+        other.on & !self.on == 0 && (self.taken ^ other.taken) & other.on == 0
     }
 
     /// Whether the two conditions cannot hold together (some branch
     /// appears with opposite polarity).
     pub fn disjoint(&self, other: &PathCond) -> bool {
-        self.terms
-            .iter()
-            .any(|(k, v)| matches!(other.terms.get(k), Some(o) if o != v))
+        self.on & other.on & (self.taken ^ other.taken) != 0
     }
 
     /// The disjunction of two path conditions, if it is still expressible
@@ -86,25 +119,16 @@ impl PathCond {
     /// case the join must be duplicated.
     pub fn merge(&self, other: &PathCond) -> Option<PathCond> {
         if self.implies(other) {
-            return Some(other.clone());
+            return Some(*other);
         }
         if other.implies(self) {
-            return Some(self.clone());
+            return Some(*self);
         }
-        if self.terms.len() == other.terms.len() && self.terms.keys().eq(other.terms.keys()) {
-            let diffs: Vec<usize> = self
-                .terms
-                .iter()
-                .filter(|(k, v)| other.terms[k] != **v)
-                .map(|(&k, _)| k)
-                .collect();
-            if diffs.len() == 1 {
-                let mut t = self.terms.clone();
-                t.remove(&diffs[0]);
-                return Some(PathCond { terms: t });
-            }
-        }
-        None
+        let diffs = self.taken ^ other.taken;
+        (self.on == other.on && diffs.count_ones() == 1).then_some(PathCond {
+            on: self.on & !diffs,
+            taken: self.taken & !diffs,
+        })
     }
 
     /// Encodes the condition as a machine [`Predicate`] using the scope's
@@ -123,6 +147,13 @@ impl PathCond {
             p = if taken { p.and_pos(c) } else { p.and_neg(c) };
         }
         p
+    }
+}
+
+/// Prints the terms as a `{node: polarity}` map in path order.
+impl fmt::Debug for PathCond {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.terms()).finish()
     }
 }
 
@@ -164,7 +195,7 @@ mod tests {
         let p = PathCond::root().extend(0, true);
         let a = p.extend(1, true);
         let b = p.extend(1, false);
-        assert_eq!(a.merge(&b), Some(p.clone()));
+        assert_eq!(a.merge(&b), Some(p));
         assert_eq!(b.merge(&a), Some(p));
     }
 
@@ -172,8 +203,8 @@ mod tests {
     fn merge_absorption() {
         let p = PathCond::root().extend(0, true);
         let deeper = p.extend(1, false);
-        assert_eq!(p.merge(&deeper), Some(p.clone()));
-        assert_eq!(deeper.merge(&p), Some(p.clone()));
+        assert_eq!(p.merge(&deeper), Some(p));
+        assert_eq!(deeper.merge(&p), Some(p));
         assert_eq!(p.merge(&p), Some(p));
     }
 
@@ -190,6 +221,21 @@ mod tests {
     }
 
     #[test]
+    fn terms_are_listed_in_node_order_whatever_the_extension_order() {
+        let p = PathCond::root().extend(63, true).extend(5, false);
+        let q = PathCond::root().extend(5, false).extend(63, true);
+        assert_eq!(p, q);
+        assert_eq!(p.terms().collect::<Vec<_>>(), vec![(5, false), (63, true)]);
+        assert_eq!(format!("{p:?}"), "{5: false, 63: true}");
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 64-node path limit")]
+    fn a_node_past_the_mask_panics() {
+        let _ = PathCond::root().extend(PathCond::MAX_NODES, true);
+    }
+
+    #[test]
     fn predicate_encoding() {
         let mut map = BTreeMap::new();
         map.insert(0usize, CondReg::new(0));
@@ -197,5 +243,83 @@ mod tests {
         let p = PathCond::root().extend(0, true).extend(2, false);
         assert_eq!(p.to_predicate(&map).to_string(), "c0&!c1");
         assert!(PathCond::root().to_predicate(&map).is_always());
+    }
+
+    /// The representation the bitset replaced: one map entry per branch
+    /// node, with the old implementations of each query.
+    mod model {
+        use std::collections::BTreeMap;
+
+        pub type Terms = BTreeMap<usize, bool>;
+
+        pub fn implies(a: &Terms, b: &Terms) -> bool {
+            b.iter().all(|(k, v)| a.get(k) == Some(v))
+        }
+
+        pub fn disjoint(a: &Terms, b: &Terms) -> bool {
+            a.iter().any(|(k, v)| matches!(b.get(k), Some(o) if o != v))
+        }
+
+        pub fn merge(a: &Terms, b: &Terms) -> Option<Terms> {
+            if implies(a, b) {
+                return Some(b.clone());
+            }
+            if implies(b, a) {
+                return Some(a.clone());
+            }
+            if a.len() == b.len() && a.keys().eq(b.keys()) {
+                let diffs: Vec<usize> = a
+                    .iter()
+                    .filter(|(k, v)| b[k] != **v)
+                    .map(|(&k, _)| k)
+                    .collect();
+                if diffs.len() == 1 {
+                    let mut t = a.clone();
+                    t.remove(&diffs[0]);
+                    return Some(t);
+                }
+            }
+            None
+        }
+    }
+
+    /// A path over `nodes`: `state[i]` 0 leaves `nodes[i]` off the path,
+    /// 1 and 2 put it on with polarity true and false (a repeated node
+    /// keeps its first polarity).
+    fn path(nodes: &[usize], state: &[u8]) -> (PathCond, model::Terms) {
+        let (mut p, mut m) = (PathCond::root(), model::Terms::new());
+        for (&n, &s) in nodes.iter().zip(state) {
+            if s != 0 && !m.contains_key(&n) {
+                m.insert(n, s == 1);
+                p = p.extend(n, s == 1);
+            }
+        }
+        (p, m)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+        #[test]
+        fn bitset_agrees_with_the_map_model(
+            nodes in proptest::collection::vec(0..PathCond::MAX_NODES, 5),
+            a in proptest::collection::vec(0..3u8, 5),
+            b in proptest::collection::vec(0..3u8, 5),
+        ) {
+            // Five candidate nodes shared by both paths, so they often
+            // share terms, imply each other or differ in one polarity.
+            let ((p, pm), (q, qm)) = (path(&nodes, &a), path(&nodes, &b));
+            let terms = |m: &model::Terms| m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(p.terms().collect::<Vec<_>>(), terms(&pm));
+            proptest::prop_assert_eq!(p.depth(), pm.len());
+            proptest::prop_assert_eq!(p.is_root(), pm.is_empty());
+            proptest::prop_assert_eq!(p.implies(&q), model::implies(&pm, &qm));
+            proptest::prop_assert_eq!(q.implies(&p), model::implies(&qm, &pm));
+            proptest::prop_assert_eq!(p.disjoint(&q), model::disjoint(&pm, &qm));
+            proptest::prop_assert_eq!(
+                p.merge(&q).map(|m| m.terms().collect::<Vec<_>>()),
+                model::merge(&pm, &qm).map(|m| terms(&m))
+            );
+            proptest::prop_assert_eq!(p == q, pm == qm);
+        }
     }
 }

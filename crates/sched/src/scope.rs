@@ -81,7 +81,7 @@ pub struct ScopeParams {
     /// Grow both branch successors (region) or at most the likelier one
     /// (trace).
     pub follow_both: bool,
-    /// Maximum nodes per scope.
+    /// Maximum nodes per scope; at most [`PathCond::MAX_NODES`].
     pub max_blocks: usize,
     /// Maximum in-scope branches (bounded by the machine's CCR size `K`).
     pub max_branches: usize,
@@ -118,6 +118,12 @@ impl ScopeParams {
 /// Forms the scopes covering `prog`, headed by the entry block and by
 /// every block targeted from outside a scope.  The first scope is headed
 /// by the program entry.
+///
+/// # Panics
+///
+/// Panics if a scope grows a branch node past [`PathCond::MAX_NODES`],
+/// which `params.max_blocks` at or below that limit rules out
+/// ([`schedule`](crate::schedule) checks it).
 pub fn form_scopes(
     prog: &ScalarProgram,
     profile: &EdgeProfile,
@@ -168,7 +174,7 @@ fn grow_scope(
         if let Some(v) = pending.get_mut(&orig) {
             v.retain(|&x| x != idx);
         }
-        let path = scope.nodes[idx].path.clone();
+        let path = scope.nodes[idx].path;
         let prob = scope.nodes[idx].path_prob;
         match prog.block(orig).term {
             Terminator::Halt => {}
@@ -187,7 +193,7 @@ fn grow_scope(
                     && (!params.follow_both || growth_beneficial(prog, t, prob))
                     && can_grow(&scope, params, idx, t, prob)
                 {
-                    let new = add_node(&mut scope, idx, t, path.clone(), prob);
+                    let new = add_node(&mut scope, idx, t, path, prob);
                     work.push_back(new);
                     pending.entry(t).or_default().push(new);
                     edge = Some(ScopeEdge::Internal(new));

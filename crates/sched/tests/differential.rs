@@ -305,3 +305,32 @@ fn fault_recovery_matches_golden_model() {
         }
     }
 }
+
+/// A scope at the path-condition limit still schedules and matches the
+/// golden model; one block past it is a typed error, not a panic.
+#[test]
+fn scope_width_is_checked_against_the_path_masks() {
+    use psb_sched::{PathCond, SchedError};
+    for seed in 100..110 {
+        let prog = gen_program(seed);
+        check_program(&prog, &[Model::RegionPred, Model::TracePred], |c| {
+            c.max_blocks = PathCond::MAX_NODES;
+        });
+        let profile = ScalarMachine::new(&prog, ScalarConfig::default())
+            .run()
+            .unwrap()
+            .edge_profile;
+        for model in Model::ALL {
+            let cfg = SchedConfig {
+                max_blocks: PathCond::MAX_NODES + 1,
+                ..SchedConfig::new(model)
+            };
+            let err = schedule(&prog, &profile, &cfg).unwrap_err();
+            assert_eq!(err, SchedError::ScopeTooWide { max_blocks: 65 });
+            assert_eq!(
+                err.to_string(),
+                "max_blocks 65 exceeds the 64-block scope limit"
+            );
+        }
+    }
+}
