@@ -32,19 +32,22 @@
 //!
 //! [`PointJob`] wraps the pipeline in the sequence every driver runs:
 //! the golden scalar run, compiles, machine runs, and the check of each
-//! run against the golden run.
+//! run against the golden run.  [`RunReuse`] lets a job or a grid of runs
+//! simulate each distinct run once.
 
 #![warn(missing_docs)]
 
 mod cache;
 mod hash;
 mod point;
+mod reuse;
 mod store;
 
 pub use cache::{ArtifactCache, CacheStats, ShardStats, SHARD_COUNT};
 pub use point::{compile_trained, PointError, PointJob};
 /// The no-op telemetry, for drivers that compile without recording.
 pub use psb_telemetry::NullTelemetry;
+pub use reuse::{Ran, RunReuse};
 pub use store::{
     decode_artifact, encode_artifact, DiskStore, StoreError, StoreStats, STORE_VERSION,
 };
@@ -52,8 +55,8 @@ pub use store::{
 use cache::ProfileEntry;
 use hash::{word_hash, DebugHasher, WordHasher};
 use psb_core::{
-    BatchReport, DecodedProgram, EventLog, MachineConfig, TraceSink, VliwError, VliwMachine,
-    VliwResult,
+    BatchReport, DecodedProgram, EventLog, LaneOutcome, MachineConfig, TraceSink, VliwError,
+    VliwMachine, VliwResult,
 };
 use psb_isa::{ScalarProgram, VliwProgram};
 use psb_scalar::{EdgeProfile, ScalarConfig, ScalarMachine};
@@ -355,19 +358,24 @@ impl CompiledArtifact {
             .run_into_sink()
     }
 
-    /// Runs the artifact's program under every configuration in `cfgs`,
-    /// each through [`run`](Self::run), and reports the outcomes in grid
-    /// order with their cycle totals.  A configuration's failure is its
-    /// lane's `Err`, never the grid's.
+    /// Runs the artifact's program under every configuration in `cfgs`
+    /// and reports the outcomes in grid order with their cycle totals.
+    /// A configuration whose run an earlier lane's carries over to
+    /// ([`RunReuse`]) takes a copy of that lane once it passes
+    /// admission; every other runs through [`run`](Self::run).  A
+    /// configuration's failure is its lane's `Err`, never the grid's.
     pub fn run_batch(&self, cfgs: &[MachineConfig]) -> BatchReport {
-        BatchReport::new(
-            cfgs.iter()
-                .map(|cfg| {
-                    let sink = EventLog::new(cfg.record_events);
-                    self.run(cfg.clone()).map(|res| (res, sink))
-                })
-                .collect(),
-        )
+        let mut runs = RunReuse::default();
+        let mut lanes: Vec<LaneOutcome> = Vec::with_capacity(cfgs.len());
+        for cfg in cfgs {
+            let lane = match runs.step(&self.program, cfg.clone(), |cfg| self.run(cfg)) {
+                Ok(Ran::Took(earlier)) => lanes[earlier].clone(),
+                Ok(Ran::Simulated(res)) => Ok((res, EventLog::new(cfg.record_events))),
+                Err(e) => Err(e),
+            };
+            lanes.push(lane);
+        }
+        BatchReport::new(lanes)
     }
 
     /// The scheduling configuration the artifact was compiled for.

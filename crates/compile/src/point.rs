@@ -14,7 +14,7 @@
 
 use crate::{
     compile_keyed, compile_stored, ArtifactCache, ArtifactSource, CompileError, CompileRequest,
-    CompiledArtifact, DiskStore, KeyPrefix, ProfileSource,
+    CompiledArtifact, DiskStore, KeyPrefix, ProfileSource, Ran, RunReuse,
 };
 use psb_core::{MachineConfig, ShadowMode, TraceSink, VliwError, VliwResult};
 use psb_isa::ScalarProgram;
@@ -50,6 +50,12 @@ impl fmt::Display for PointError {
 }
 
 impl std::error::Error for PointError {}
+
+impl From<VliwError> for PointError {
+    fn from(e: VliwError) -> PointError {
+        PointError::Machine(e)
+    }
+}
 
 /// Compiles `program` for `sched` through the cache hierarchy, profiled
 /// on a default-configured scalar run of `train` — a point's compile
@@ -218,6 +224,28 @@ impl<'a> PointJob<'a> {
             .map_err(PointError::Machine)?;
         self.check(&res)?;
         Ok(res)
+    }
+
+    /// [`run`](Self::run) as the next point of `runs`, the job's
+    /// [`RunReuse`]: a point whose run an earlier point's carries over to
+    /// takes that run (the earlier run passed the golden check), and
+    /// any other point runs and is checked.
+    ///
+    /// # Errors
+    ///
+    /// [`PointError::Machine`] (admission included) or
+    /// [`PointError::Diverged`].
+    pub fn run_reusing(
+        &self,
+        art: &CompiledArtifact,
+        cfg: MachineConfig,
+        runs: &mut RunReuse,
+    ) -> Result<Ran, PointError> {
+        runs.step(&art.program, self.machine_config(art, cfg), |cfg| {
+            let res = art.run(cfg)?;
+            self.check(&res)?;
+            Ok(res)
+        })
     }
 
     /// Runs `art` under `cfg` feeding `sink`, returning the result with

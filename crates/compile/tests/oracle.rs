@@ -335,6 +335,25 @@ fn run_batch_is_run_per_configuration() {
             });
         }
     }
+    // Lanes an earlier lane's run carries over to: lane 6 is lane 2 on a
+    // wider machine, lane 8 is lane 7 with a deeper store buffer, and
+    // lane 9 is lane 2 on a machine too narrow to admit the program.
+    cfgs.push(MachineConfig {
+        store_buffer_size: 16,
+        record_events: true,
+        ..MachineConfig::full_issue(8)
+    });
+    for store_buffer_size in [4, 16] {
+        cfgs.push(MachineConfig {
+            store_buffer_size,
+            ..MachineConfig::full_issue(4)
+        });
+    }
+    cfgs.push(MachineConfig {
+        store_buffer_size: 16,
+        record_events: true,
+        ..MachineConfig::full_issue(2)
+    });
     let solo: Vec<_> = cfgs
         .iter()
         .map(|cfg| {
@@ -344,14 +363,16 @@ fn run_batch_is_run_per_configuration() {
         .collect();
     let rep = art.run_batch(&cfgs);
     assert_eq!(rep.lanes, solo);
-    // The schedule is 4-wide, so the 2-wide machine fails admission.
-    assert!(solo[..2]
-        .iter()
-        .all(|l| matches!(l, Err(VliwError::Malformed(_)))));
-    let cycles: Vec<u64> = solo[2..]
-        .iter()
-        .map(|l| l.as_ref().unwrap().0.cycles)
-        .collect();
+    for (from, to) in [(2, 6), (7, 8), (2, 9)] {
+        let stalls = solo[from].as_ref().unwrap().0.stall_sb_full;
+        assert!(cfgs[from].run_carries_over(stalls, &cfgs[to]), "lane {to}");
+    }
+    // The schedule is 4-wide, so the 2-wide machines fail admission.
+    for lane in [0, 1, 9] {
+        assert!(matches!(solo[lane], Err(VliwError::Malformed(_))), "{lane}");
+    }
+    let cycles: Vec<u64> = solo.iter().flatten().map(|(res, _)| res.cycles).collect();
+    assert_eq!(cycles.len(), 7);
     assert_eq!(rep.lane_cycles, cycles.iter().sum::<u64>());
     let longest = *cycles.iter().max().unwrap();
     assert_eq!(rep.batch_cycles, longest.div_ceil(DEFAULT_STRIDE));

@@ -3,7 +3,9 @@
 //!
 //! `psb_compile::CompiledArtifact::run_batch` runs each configuration of
 //! a grid solo, through the same default-sink cycle loop every other
-//! driver uses, and collects the outcomes into a [`BatchReport`].  A
+//! run uses, except that a configuration an earlier lane's run
+//! carries over to ([`run_carries_over`]) takes a copy of that lane,
+//! and collects the outcomes into a [`BatchReport`].  A
 //! lockstep batched machine once stepped such grids lane by lane; solo
 //! runs of one artifact were measured as fast or faster, so it is gone
 //! (DESIGN.md §15).  The report keeps its lockstep-era shape
@@ -13,6 +15,8 @@
 //! A configuration's failure is its own outcome, never the grid's: a
 //! config that fails admission, faults, or exceeds its cycle limit
 //! yields the `Err` its solo run returns, in its slot of the report.
+//!
+//! [`run_carries_over`]: crate::MachineConfig::run_carries_over
 
 use crate::event::EventLog;
 use crate::machine::{VliwError, VliwResult};

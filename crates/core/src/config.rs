@@ -1,7 +1,8 @@
 //! Machine configuration.
 
+use crate::machine::VliwError;
 use crate::mem::MemoryModel;
-use psb_isa::Resources;
+use psb_isa::{FuClass, Resources, VliwProgram};
 use std::collections::BTreeSet;
 
 /// How many speculative values one register can buffer.
@@ -176,6 +177,83 @@ impl MachineConfig {
             ..MachineConfig::default()
         }
     }
+
+    /// Issue-width and function-unit admission: whether every word of
+    /// `prog` fits this machine.  Every constructor runs it; nothing
+    /// else reads `issue_width` or `resources`.
+    ///
+    /// # Errors
+    ///
+    /// [`VliwError::Malformed`] naming the first word that does not fit.
+    pub fn admit(&self, prog: &VliwProgram) -> Result<(), VliwError> {
+        for (addr, word) in prog.words.iter().enumerate() {
+            if word.slots.len() > self.issue_width {
+                return Err(VliwError::Malformed(format!(
+                    "word {addr} has {} slots, issue width is {}",
+                    word.slots.len(),
+                    self.issue_width
+                )));
+            }
+            let count = |c: FuClass| word.slots.iter().filter(|s| s.op.fu_class() == c).count();
+            let r = self.resources;
+            if count(FuClass::Alu) > r.alu
+                || count(FuClass::Branch) > r.branch
+                || count(FuClass::Load) > r.load
+                || count(FuClass::Store) > r.store
+            {
+                return Err(VliwError::Malformed(format!(
+                    "word {addr} exceeds function-unit resources"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether a completed run of a program under `self`, which took
+    /// `stall_sb_full` full-buffer stall cycles, is also that program's
+    /// run under `other`, provided `other` admits the program
+    /// ([`admit`](Self::admit)).
+    ///
+    /// `issue_width` and `resources` are read only by admission, and
+    /// `store_buffer_size` only by the full-buffer stall check, so the
+    /// run carries over when every other field is equal and `other`'s
+    /// buffer is as large or, if no append ever found the buffer full,
+    /// larger: each of those checks then answers alike, cycle by cycle.
+    pub fn run_carries_over(&self, stall_sb_full: u64, other: &MachineConfig) -> bool {
+        // Named field by field, so a new field must be placed here.
+        let MachineConfig {
+            issue_width: _,
+            resources: _,
+            store_buffer_size,
+            load_latency,
+            memory,
+            shadow_mode,
+            retire_per_cycle,
+            taken_jump_penalty,
+            rollback_penalty,
+            fault_once_addrs,
+            fault_penalty,
+            max_cycles,
+            record_events,
+            engine,
+            defer_recovery_exit_commit,
+        } = self;
+        let buffer = other.store_buffer_size == *store_buffer_size
+            || (stall_sb_full == 0 && other.store_buffer_size > *store_buffer_size);
+        buffer
+            && other.load_latency == *load_latency
+            && other.memory == *memory
+            && other.shadow_mode == *shadow_mode
+            && other.retire_per_cycle == *retire_per_cycle
+            && other.taken_jump_penalty == *taken_jump_penalty
+            && other.rollback_penalty == *rollback_penalty
+            && other.fault_penalty == *fault_penalty
+            && other.max_cycles == *max_cycles
+            && other.record_events == *record_events
+            && other.engine == *engine
+            && other.defer_recovery_exit_commit == *defer_recovery_exit_commit
+            && other.fault_once_addrs == *fault_once_addrs
+    }
 }
 
 #[cfg(test)]
@@ -213,5 +291,77 @@ mod tests {
                 store: 8
             }
         );
+    }
+
+    #[test]
+    fn a_run_carries_over_across_admission_and_an_unfilled_deeper_buffer_only() {
+        let base = MachineConfig::default();
+        let wider = MachineConfig::full_issue(8);
+        assert!(base.run_carries_over(0, &wider) && wider.run_carries_over(0, &base));
+        assert!(base.run_carries_over(3, &base));
+        let deeper = MachineConfig {
+            store_buffer_size: 32,
+            ..base.clone()
+        };
+        assert!(base.run_carries_over(0, &deeper));
+        assert!(
+            !base.run_carries_over(1, &deeper),
+            "the run filled its buffer"
+        );
+        assert!(!deeper.run_carries_over(0, &base), "a shallower buffer");
+        // Every other field is read by the run.
+        let others = [
+            MachineConfig {
+                load_latency: 3,
+                ..base.clone()
+            },
+            MachineConfig {
+                memory: MemoryModel::parse("fixed:12:4").unwrap(),
+                ..base.clone()
+            },
+            MachineConfig {
+                shadow_mode: ShadowMode::Infinite,
+                ..base.clone()
+            },
+            MachineConfig {
+                retire_per_cycle: 2,
+                ..base.clone()
+            },
+            MachineConfig {
+                taken_jump_penalty: 1,
+                ..base.clone()
+            },
+            MachineConfig {
+                rollback_penalty: 3,
+                ..base.clone()
+            },
+            MachineConfig {
+                fault_once_addrs: [5].into(),
+                ..base.clone()
+            },
+            MachineConfig {
+                fault_penalty: 9,
+                ..base.clone()
+            },
+            MachineConfig {
+                max_cycles: 10,
+                ..base.clone()
+            },
+            MachineConfig {
+                record_events: true,
+                ..base.clone()
+            },
+            MachineConfig {
+                engine: Engine::Legacy,
+                ..base.clone()
+            },
+            MachineConfig {
+                defer_recovery_exit_commit: true,
+                ..base.clone()
+            },
+        ];
+        for other in &others {
+            assert!(!base.run_carries_over(0, other), "{other:?}");
+        }
     }
 }

@@ -31,8 +31,8 @@ use crate::obs::{CycleSample, StallKind, TraceSink};
 use crate::regfile::PredicatedRegFile;
 use crate::storebuf::PredicatedStoreBuffer;
 use psb_isa::{
-    AluOp, Ccr, CmpOp, Cond, CondReg, FuClass, MemFault, Memory, MultiOp, Op, Predicate, Reg,
-    RegSet, SlotOp, Src, VliwProgram, NUM_REGS,
+    AluOp, Ccr, CmpOp, Cond, CondReg, MemFault, Memory, MultiOp, Op, Predicate, Reg, RegSet,
+    SlotOp, Src, VliwProgram, NUM_REGS,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -373,33 +373,14 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
     }
 
     /// The construction-time checks shared by every constructor: program
-    /// validation plus issue-width and function-unit admission.
+    /// validation plus issue-width and function-unit admission
+    /// ([`MachineConfig::admit`]).
     fn validate_for(prog: &VliwProgram, cfg: &MachineConfig) -> Result<(), VliwError> {
         cfg.memory
             .validate()
             .map_err(|e| VliwError::Malformed(format!("memory model: {e}")))?;
         prog.validate().map_err(VliwError::Malformed)?;
-        for (addr, word) in prog.words.iter().enumerate() {
-            if word.slots.len() > cfg.issue_width {
-                return Err(VliwError::Malformed(format!(
-                    "word {addr} has {} slots, issue width is {}",
-                    word.slots.len(),
-                    cfg.issue_width
-                )));
-            }
-            let count = |c: FuClass| word.slots.iter().filter(|s| s.op.fu_class() == c).count();
-            let r = cfg.resources;
-            if count(FuClass::Alu) > r.alu
-                || count(FuClass::Branch) > r.branch
-                || count(FuClass::Load) > r.load
-                || count(FuClass::Store) > r.store
-            {
-                return Err(VliwError::Malformed(format!(
-                    "word {addr} exceeds function-unit resources"
-                )));
-            }
-        }
-        Ok(())
+        cfg.admit(prog)
     }
 
     /// Assembles the machine once validation has passed.

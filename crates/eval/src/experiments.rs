@@ -551,7 +551,7 @@ pub fn ablation_unroll(params: &EvalParams) -> AblationResult {
     let cache = ArtifactCache::new();
     let pairs = parallel_map(&BENCHMARKS, params.jobs, |&name| {
         let pair = workload_pair(name, &wide);
-        let rolled = run_points(&pair, &[(Model::RegionPred, wide.clone())], &cache);
+        let (rolled, _) = run_points(&pair, &[(Model::RegionPred, wide.clone())], &cache);
 
         // The unrolled variant: transform both training and evaluation
         // programs before profiling and scheduling.

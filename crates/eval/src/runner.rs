@@ -1,7 +1,7 @@
 //! Core measurement machinery: run one workload under one model and
 //! collect cycle counts, with golden-model cross-checking.
 
-use psb_compile::{ArtifactCache, PointError, PointJob};
+use psb_compile::{ArtifactCache, PointError, PointJob, Ran, RunReuse};
 use psb_core::{MachineConfig, MemoryModel};
 use psb_isa::Resources;
 use psb_scalar::{RunResult, ScalarConfig, ScalarMachine};
@@ -278,15 +278,16 @@ pub fn run_workload(
     cache: &ArtifactCache,
 ) -> BenchResult {
     let points: Vec<_> = models.iter().map(|&m| (m, params.clone())).collect();
-    run_points(&workload_pair(name, params), &points, cache)
+    run_points(&workload_pair(name, params), &points, cache).0
 }
 
 /// Runs every `(model, params)` point on one workload pair as one point
 /// job: a single golden run of the evaluation program, then a compile
-/// and a golden-checked machine run per distinct point.  A point whose
-/// scheduling and machine configurations both equal an earlier point's
-/// would simulate the same run, so it takes that point's result.
-/// `models[i]` of the result is point `i`.
+/// and a golden-checked machine run per point, except that a point whose
+/// run would repeat an earlier point's (an equal program under a
+/// configuration that run carries over to; see [`RunReuse`]) takes that
+/// point's counters.  `models[i]` of the result is point `i`; the count
+/// is how many points were simulated.
 ///
 /// # Panics
 ///
@@ -295,45 +296,47 @@ pub(crate) fn run_points(
     (train, eval): &(Workload, Workload),
     points: &[(Model, EvalParams)],
     cache: &ArtifactCache,
-) -> BenchResult {
+) -> (BenchResult, usize) {
     let name = eval.name;
     let job = PointJob::new(&eval.program, Some(&train.program), ScalarConfig::default())
         .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let mut configs: Vec<(SchedConfig, MachineConfig)> = Vec::with_capacity(points.len());
+    let mut runs = RunReuse::default();
     let mut models: Vec<ModelResult> = Vec::with_capacity(points.len());
     for &(model, ref params) in points {
-        let config = (params.sched_config(model), params.machine_config());
-        let result = match configs.iter().position(|c| *c == config) {
-            Some(earlier) => models[earlier].clone(),
-            None => {
-                let fail = |e: PointError| -> ! { panic!("{name}/{model}: {e}") };
-                let (art, _) = job
-                    .compile(config.0.clone(), cache, None, &NullTelemetry)
-                    .unwrap_or_else(|e| fail(e));
-                let res = job.run(&art, config.1.clone()).unwrap_or_else(|e| fail(e));
-                ModelResult {
-                    model: model.name().to_string(),
-                    vliw_cycles: res.cycles,
-                    speedup: job.golden().cycles as f64 / res.cycles as f64,
-                    static_ops: art.program.static_ops(),
-                    squashed_ops: res.ops_squashed,
-                    recoveries: res.recoveries,
-                    stall_ifetch: res.stall_ifetch,
-                    stall_load_miss: res.stall_load_miss,
-                    icache: (res.icache_accesses, res.icache_misses),
-                    dcache: (res.dcache_accesses, res.dcache_misses),
-                }
-            }
+        let fail = |e: PointError| -> ! { panic!("{name}/{model}: {e}") };
+        let (art, _) = job
+            .compile(params.sched_config(model), cache, None, &NullTelemetry)
+            .unwrap_or_else(|e| fail(e));
+        let ran = job
+            .run_reusing(&art, params.machine_config(), &mut runs)
+            .unwrap_or_else(|e| fail(e));
+        let result = match ran {
+            Ran::Took(earlier) => ModelResult {
+                model: model.name().to_string(),
+                ..models[earlier].clone()
+            },
+            Ran::Simulated(res) => ModelResult {
+                model: model.name().to_string(),
+                vliw_cycles: res.cycles,
+                speedup: job.golden().cycles as f64 / res.cycles as f64,
+                static_ops: art.program.static_ops(),
+                squashed_ops: res.ops_squashed,
+                recoveries: res.recoveries,
+                stall_ifetch: res.stall_ifetch,
+                stall_load_miss: res.stall_load_miss,
+                icache: (res.icache_accesses, res.icache_misses),
+                dcache: (res.dcache_accesses, res.dcache_misses),
+            },
         };
-        configs.push(config);
         models.push(result);
     }
-    BenchResult {
+    let bench = BenchResult {
         name: name.to_string(),
         static_len: eval.program.static_len(),
         scalar_cycles: job.golden().cycles,
         models,
-    }
+    };
+    (bench, runs.simulated())
 }
 
 /// Runs an experiment's `(model, params)` points on every benchmark, one
@@ -356,7 +359,7 @@ pub(crate) fn run_grid(
         assert_eq!(pair_of(p), pair_of(params), "{model} point off the grid");
     }
     parallel_map(&BENCHMARKS, params.jobs, |name| {
-        run_points(&workload_pair(name, params), points, cache)
+        run_points(&workload_pair(name, params), points, cache).0
     })
 }
 
@@ -559,30 +562,50 @@ mod tests {
             size: 96,
             ..EvalParams::default()
         };
-        // The second point differs only in a field neither configuration
-        // reads; the third differs in the machine.
-        let same = EvalParams {
-            jobs: 4,
+        // Three pairs, each simulated once: a repeat that differs only in
+        // a field neither configuration reads; two speculation depths
+        // that compile to one program (Figure 8's saturation); and two
+        // issue widths with the same function units, where the units
+        // bind first, so the schedules are equal and only admission
+        // reads the width.
+        let depth = |depth| EvalParams {
+            resources: Resources::full_issue(4),
+            num_conds: 8,
+            depth,
             ..params.clone()
         };
-        let penalty = EvalParams {
+        let width = |issue_width| EvalParams {
+            issue_width,
             jump_penalty: 2,
             ..params.clone()
         };
-        let points = [
-            (Model::RegionPred, params.clone()),
-            (Model::RegionPred, same),
-            (Model::RegionPred, penalty.clone()),
+        let pairs = [
+            [
+                params.clone(),
+                EvalParams {
+                    jobs: 4,
+                    ..params.clone()
+                },
+            ],
+            [depth(2), depth(4)],
+            [width(4), width(8)],
         ];
+        let points: Vec<_> = pairs
+            .iter()
+            .flatten()
+            .map(|p| (Model::RegionPred, p.clone()))
+            .collect();
         let cache = ArtifactCache::new();
-        let res = run_points(&workload_pair("li", &params), &points, &cache);
-        assert_eq!(res.models[0], res.models[1]);
-        let alone = run_workload("li", &[Model::RegionPred], &penalty, &ArtifactCache::new());
-        assert_eq!(res.models[2], alone.models[0]);
-        // The repeat is neither compiled nor looked up; the third point
-        // shares the first one's artifact.
+        let (res, simulated) = run_points(&workload_pair("li", &params), &points, &cache);
+        assert_eq!(simulated, pairs.len(), "one simulation per pair");
+        for (i, (model, p)) in points.iter().enumerate() {
+            let alone = run_workload("li", &[*model], p, &ArtifactCache::new());
+            assert_eq!(res.models[i], alone.models[0], "point {i}");
+        }
+        // Each point compiles; the repeat and the 4-wide penalty point
+        // hit the first point's artifact.
         let stats = cache.stats();
-        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!((stats.misses, stats.hits), (4, 2));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::bench::{check_header, check_points, load_kernel, BenchCheck};
 use crate::json::{Json, ToJson};
 use crate::runner::parallel_map;
-use psb_compile::{ArtifactCache, PointError, PointJob};
+use psb_compile::{ArtifactCache, PointError, PointJob, Ran, RunReuse};
 use psb_core::{CacheConfig, MachineConfig, MemoryModel};
 use psb_sched::{Model, SchedConfig};
 use psb_telemetry::NullTelemetry;
@@ -439,8 +439,12 @@ pub struct SweepReport {
     pub grid: SweepGrid,
     /// Every design point, in fixed (kernel, model, machine-axis) order.
     pub points: Vec<SweepPoint>,
-    /// Total simulated cycles across every point (one run each).
+    /// The sum of every point's cycles, a point that took an earlier
+    /// point's run included.
     pub sim_cycles_total: u64,
+    /// How many points were simulated; the rest took an earlier point's
+    /// run.  Reported on stderr only: the JSON report is unchanged by it.
+    pub points_simulated: usize,
 }
 
 impl ToJson for SweepReport {
@@ -462,14 +466,18 @@ impl ToJson for SweepReport {
 }
 
 /// Runs one (kernel × model) unit as a point job: load the kernel, run
-/// the golden model and compile once, then run every grid configuration
-/// once, each checked against the golden model.
+/// the golden model and compile once, then run every grid configuration,
+/// each checked against the golden model, except that a configuration
+/// an earlier run carries over to (a width above the schedule's, or a
+/// deeper store buffer than a run that never filled its own; see
+/// [`RunReuse`]) takes that run's counters.  Also returns how many
+/// configurations were simulated.
 fn run_unit(
     kernel: &str,
     model: Model,
     axes: &[MachineAxis],
     cache: &ArtifactCache,
-) -> Vec<SweepPoint> {
+) -> (Vec<SweepPoint>, usize) {
     let (program, golden) = load_kernel(kernel);
     let fail = |e: PointError| -> ! { panic!("{kernel}/{model}: {e}") };
     let job = PointJob::new(&program, None, golden).unwrap_or_else(|e| fail(e));
@@ -477,28 +485,34 @@ fn run_unit(
         .compile(SchedConfig::new(model), cache, None, &NullTelemetry)
         .unwrap_or_else(|e| fail(e));
 
-    axes.iter()
-        .map(|ax| {
-            let icache = cache_axis_name(&ax.icache);
-            let dcache = cache_axis_name(&ax.dcache);
-            let res = job
-                .run(
-                    &art,
-                    MachineConfig {
-                        store_buffer_size: ax.sb,
-                        load_latency: ax.latency,
-                        memory: ax.memory(),
-                        ..MachineConfig::full_issue(ax.width)
-                    },
-                )
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{kernel}/{model}: width={} sb={} latency={} icache={icache} \
-                         dcache={dcache}: {e}",
-                        ax.width, ax.sb, ax.latency
-                    )
-                });
-            SweepPoint {
+    let mut runs = RunReuse::default();
+    let mut points: Vec<SweepPoint> = Vec::with_capacity(axes.len());
+    for ax in axes {
+        let icache = cache_axis_name(&ax.icache);
+        let dcache = cache_axis_name(&ax.dcache);
+        let cfg = MachineConfig {
+            store_buffer_size: ax.sb,
+            load_latency: ax.latency,
+            memory: ax.memory(),
+            ..MachineConfig::full_issue(ax.width)
+        };
+        let ran = job.run_reusing(&art, cfg, &mut runs).unwrap_or_else(|e| {
+            panic!(
+                "{kernel}/{model}: width={} sb={} latency={} icache={icache} \
+                 dcache={dcache}: {e}",
+                ax.width, ax.sb, ax.latency
+            )
+        });
+        let point = match ran {
+            Ran::Took(earlier) => SweepPoint {
+                width: ax.width,
+                sb: ax.sb,
+                latency: ax.latency,
+                icache,
+                dcache,
+                ..points[earlier].clone()
+            },
+            Ran::Simulated(res) => SweepPoint {
                 kernel: kernel.to_string(),
                 model: model.name().to_string(),
                 width: ax.width,
@@ -519,9 +533,11 @@ fn run_unit(
                 icache_misses: res.icache_misses,
                 dcache_accesses: res.dcache_accesses,
                 dcache_misses: res.dcache_misses,
-            }
-        })
-        .collect()
+            },
+        };
+        points.push(point);
+    }
+    (points, runs.simulated())
 }
 
 /// Runs the sweep over every (kernel × model) unit of the grid.
@@ -541,17 +557,17 @@ pub fn run_sweep(params: &SweepParams) -> SweepReport {
     }
     let axes = grid.machine_axes();
     let cache = ArtifactCache::new();
-    let points: Vec<SweepPoint> = parallel_map(&units, params.jobs, |(kernel, model)| {
+    let units = parallel_map(&units, params.jobs, |(kernel, model)| {
         run_unit(kernel, *model, &axes, &cache)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    });
+    let points_simulated = units.iter().map(|(_, simulated)| simulated).sum();
+    let points: Vec<SweepPoint> = units.into_iter().flat_map(|(points, _)| points).collect();
     SweepReport {
         suite: if params.quick { "quick" } else { "full" }.to_string(),
         grid: grid.clone(),
         sim_cycles_total: points.iter().map(|p| p.cycles).sum(),
         points,
+        points_simulated,
     }
 }
 
@@ -600,13 +616,13 @@ pub fn check_sweep(current: &SweepReport, baseline: &Json) -> BenchCheck {
 
 /// Renders a human-readable summary (stderr companion to the JSON).
 pub fn render_sweep(report: &SweepReport) -> String {
-    let configs = report.grid.machine_axes().len();
+    let (points, configs) = (report.points.len(), report.grid.machine_axes().len());
     format!(
-        "Sweep suite `{}`: {} points ({} artifacts x {configs} configurations), \
-         {} simulated cycles\n",
+        "Sweep suite `{}`: {points} points ({} artifacts x {configs} configurations), \
+         {} of them simulated, {} cycles summed over all {points}\n",
         report.suite,
-        report.points.len(),
-        report.points.len() / configs.max(1),
+        points / configs.max(1),
+        report.points_simulated,
         report.sim_cycles_total
     )
 }

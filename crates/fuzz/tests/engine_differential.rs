@@ -25,6 +25,13 @@
 //! hand-written programs cover the tabled store/control prepass, which
 //! neither generated nor corpus cases reach: a store burst that fills
 //! the store buffer, and a jump whose condition its own word sets.
+//!
+//! The same runs hold the reuse rule of the grid runners
+//! ([`MachineConfig::run_carries_over`]) to fresh runs: wherever it
+//! says one run of the grid is also the run under another configuration
+//! that admits the program, the two fresh runs must be equal, and the
+//! store burst, which fills its buffer, must not carry over to a deeper
+//! one.
 
 use proptest::prelude::*;
 use psb_compile::{compile_fresh, CompileRequest, CompiledArtifact, ProfileSource};
@@ -43,9 +50,10 @@ use std::collections::BTreeSet;
 
 /// A small machine grid derived from the seed: shallow store-buffer
 /// depths, with the load latency and memory model varied across points,
-/// and event recording on everywhere.  The engine picks the commit pass,
-/// so every point compares legacy with its naive scan against tabled
-/// with its indexed scan.
+/// each on the base 4-issue machine and on a full-issue machine wider
+/// than the program's widest word, and event recording on everywhere.
+/// The engine picks the commit pass, so every point compares legacy with
+/// its naive scan against tabled with its indexed scan.
 ///
 /// A shallow store buffer can livelock a model that keeps more
 /// speculative stores in flight than the buffer holds (they drain only
@@ -53,32 +61,69 @@ use std::collections::BTreeSet;
 /// such points end quickly in `CycleLimit`, which both engines must
 /// report identically (the tabled engine's stall skip stops at the
 /// limit).
-fn grid(seed: u64, single_shadow: bool, fault_once: &BTreeSet<i64>) -> Vec<MachineConfig> {
+fn grid(
+    seed: u64,
+    single_shadow: bool,
+    fault_once: &BTreeSet<i64>,
+    prog: &VliwProgram,
+) -> Vec<MachineConfig> {
     let sbs: &[usize] = match seed % 3 {
         0 => &[1, 4],
         1 => &[2, 16],
         _ => &[3, 8],
     };
+    let widest = prog.words.iter().map(|w| w.slots.len()).max().unwrap_or(0);
+    let wide = MachineConfig::full_issue(widest + 1 + (seed % 4) as usize);
     let mut cfgs = Vec::new();
     for i in 0..2u64 {
         for (j, &sb) in (0u64..).zip(sbs) {
-            cfgs.push(MachineConfig {
-                shadow_mode: if single_shadow {
-                    ShadowMode::Single
-                } else {
-                    ShadowMode::Infinite
-                },
-                fault_once_addrs: fault_once.clone(),
-                record_events: true,
-                store_buffer_size: sb,
-                load_latency: 1 + (seed + i + j) % 3,
-                memory: memory_rotation(seed + i + j),
-                max_cycles: 100_000,
-                ..MachineConfig::default()
-            });
+            for machine in [MachineConfig::default(), wide.clone()] {
+                cfgs.push(MachineConfig {
+                    shadow_mode: if single_shadow {
+                        ShadowMode::Single
+                    } else {
+                        ShadowMode::Infinite
+                    },
+                    fault_once_addrs: fault_once.clone(),
+                    record_events: true,
+                    store_buffer_size: sb,
+                    load_latency: 1 + (seed + i + j) % 3,
+                    memory: memory_rotation(seed + i + j),
+                    max_cycles: 100_000,
+                    ..machine
+                });
+            }
         }
     }
     cfgs
+}
+
+/// Holds fresh runs to the reuse rule: wherever a completed run under
+/// `cfgs[i]` carries over to `cfgs[j]` and `cfgs[j]` admits `prog`, the
+/// run under `cfgs[j]` must equal it, result and event log.  Returns
+/// how many such pairs there were.
+fn check_carried_runs(
+    prog: &VliwProgram,
+    cfgs: &[MachineConfig],
+    runs: &[Result<VliwResult, String>],
+) -> Result<usize, TestCaseError> {
+    let mut carried = 0;
+    for (i, (from, run)) in cfgs.iter().zip(runs).enumerate() {
+        let Ok(res) = run else { continue };
+        for (j, to) in cfgs.iter().enumerate() {
+            if i != j && from.run_carries_over(res.stall_sb_full, to) && to.admit(prog).is_ok() {
+                prop_assert_eq!(
+                    &runs[j],
+                    run,
+                    "the run under config {} carries over to config {}",
+                    i,
+                    j
+                );
+                carried += 1;
+            }
+        }
+    }
+    Ok(carried)
 }
 
 /// Runs one compiled artifact under `engine` with event recording on.
@@ -145,16 +190,33 @@ proptest! {
                 "legacy/tabled divergence on seed {} model {} memory {}",
                 seed, model, memory
             );
-            for cfg in grid(seed, single_shadow, &case.fault_once) {
-                let run = |engine| {
-                    art.run(MachineConfig { engine, ..cfg.clone() })
-                        .map_err(|e| e.to_string())
-                };
+            let cfgs = grid(seed, single_shadow, &case.fault_once, &art.program);
+            let [legacy, tabled] = [Engine::Legacy, Engine::Tabled].map(|engine| {
+                let cfgs: Vec<_> = cfgs
+                    .iter()
+                    .map(|cfg| MachineConfig { engine, ..cfg.clone() })
+                    .collect();
+                let runs: Vec<_> = cfgs
+                    .iter()
+                    .map(|cfg| art.run(cfg.clone()).map_err(|e| e.to_string()))
+                    .collect();
+                (cfgs, runs)
+            });
+            for ((cfg, l), t) in cfgs.iter().zip(&legacy.1).zip(&tabled.1) {
                 prop_assert_eq!(
-                    run(Engine::Legacy),
-                    run(Engine::Tabled),
-                    "legacy/tabled divergence on seed {} model {} sb {} load {} memory {}",
-                    seed, model, cfg.store_buffer_size, cfg.load_latency, cfg.memory
+                    l, t,
+                    "legacy/tabled divergence on seed {} model {} width {} sb {} load {} memory {}",
+                    seed, model, cfg.issue_width, cfg.store_buffer_size, cfg.load_latency,
+                    cfg.memory
+                );
+            }
+            for (cfgs, runs) in [&legacy, &tabled] {
+                let carried = check_carried_runs(&art.program, cfgs, runs)?;
+                // Every point's wider twin admits the program.
+                let completed = runs.iter().filter(|r| r.is_ok()).count();
+                prop_assert!(
+                    carried >= completed,
+                    "{} carried pairs for {} completed runs", carried, completed
                 );
             }
         }
@@ -322,6 +384,21 @@ fn store_buffer_full_and_unspecified_jump_are_engine_independent() {
         res.stall_sb_full > 0,
         "the burst must fill the store buffer"
     );
+    // A run that filled its buffer does not carry over to a deeper one:
+    // there the burst does not stall.
+    let deeper = MachineConfig {
+        store_buffer_size: 4,
+        ..small_buffer.clone()
+    };
+    assert!(!small_buffer.run_carries_over(res.stall_sb_full, &deeper));
+    let (legacy, tabled) = (
+        run_logged(&burst, &deeper, Engine::Legacy),
+        run_logged(&burst, &deeper, Engine::Tabled),
+    );
+    assert_eq!(legacy, tabled, "store burst, 4 entries");
+    let unstalled = legacy.0.expect("the store burst runs");
+    assert_eq!(unstalled.stall_sb_full, 0);
+    assert_ne!(unstalled, res);
 
     let two_issue = MachineConfig::two_issue();
     let (legacy, tabled) = (
