@@ -186,7 +186,7 @@ fn bench_telemetry_pmap_overhead(c: &mut Criterion) {
 
 /// Same guard for the compile cache's hit path: `compile` (the
 /// `NullTelemetry` wrapper) against `compile_stored` + `Recorder` on a warm
-/// cache, where per-call cost is just key hash + shard lock + `Arc`
+/// cache, where per-call cost is just key hash + map lock + `Arc`
 /// clone and any residual instrumentation cost would be proportionally
 /// largest.  A third case times the hit where the key costs most: the
 /// largest workload program at the paper's size (`espresso`, 2048) with

@@ -11,8 +11,9 @@
 //!   it covers cost.  The per-word mix is bijective in both the state
 //!   and the word, so two word streams that differ in exactly one word
 //!   always end in different states; a splitmix64 finisher then spreads
-//!   the state so that `key % SHARD_COUNT` selects shards uniformly.  The
-//!   seed is fixed (unlike `RandomState`), so a key is the same in every
+//!   the state over all 64 bits.  Keys name the store's `.psba` files
+//!   (`{key:016x}.psba`), so the finisher is kept as it is.  The seed is
+//!   fixed (unlike `RandomState`), so a key is the same in every
 //!   process built by one toolchain for one target: derived `Hash` writes
 //!   `usize` lengths and `isize` discriminants at the target's width, and
 //!   the std impls may change between toolchains.  A changed key costs
@@ -39,7 +40,7 @@ const WORD_SEED: u64 = 0x243f_6a88_85a3_08d3;
 const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// splitmix64 finalizer: avalanches the running state so that requests
-/// differing only in a late field still spread across cache shards.
+/// differing only in a late field differ in every bit of the key.
 fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -43,7 +43,7 @@ mod point;
 mod reuse;
 mod store;
 
-pub use cache::{ArtifactCache, CacheStats, ShardStats, SHARD_COUNT};
+pub use cache::{ArtifactCache, CacheStats};
 pub use point::{compile_trained, PointError, PointJob};
 /// The no-op telemetry, for drivers that compile without recording.
 pub use psb_telemetry::NullTelemetry;
@@ -574,7 +574,7 @@ impl ArtifactSource {
 /// where the artifact came from alongside the artifact.
 ///
 /// `tel` receives stage spans and `compile.*_ns` histograms on cache
-/// misses (jobs-deterministic counts), and shard lock-wait and
+/// misses (jobs-deterministic counts), and lock-wait and
 /// single-flight-wait histograms on every lookup (host-only, dropped in
 /// deterministic mode).
 ///

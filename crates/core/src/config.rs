@@ -96,13 +96,9 @@ pub struct MachineConfig {
     pub shadow_mode: ShadowMode,
     /// Store buffer capacity in entries.
     pub store_buffer_size: usize,
-    /// Store-buffer retires to the D-cache per cycle.
-    pub retire_per_cycle: usize,
     /// Penalty cycles for a taken region-exit jump.  The paper assumes
     /// BTB-predictable branches impose no penalty, so the default is 0.
     pub taken_jump_penalty: u64,
-    /// Pipeline refill cycles charged when recovery rolls back to the RPC.
-    pub rollback_penalty: u64,
     /// Addresses whose first access raises a non-fatal fault (handled at
     /// [`MachineConfig::fault_penalty`] cost); mirrors
     /// `ScalarConfig::fault_once_addrs`.
@@ -135,9 +131,7 @@ impl Default for MachineConfig {
             memory: MemoryModel::Perfect,
             shadow_mode: ShadowMode::Single,
             store_buffer_size: 16,
-            retire_per_cycle: 1,
             taken_jump_penalty: 0,
-            rollback_penalty: 2,
             fault_once_addrs: BTreeSet::new(),
             fault_penalty: 50,
             max_cycles: 200_000_000,
@@ -228,9 +222,7 @@ impl MachineConfig {
             load_latency,
             memory,
             shadow_mode,
-            retire_per_cycle,
             taken_jump_penalty,
-            rollback_penalty,
             fault_once_addrs,
             fault_penalty,
             max_cycles,
@@ -244,9 +236,7 @@ impl MachineConfig {
             && other.load_latency == *load_latency
             && other.memory == *memory
             && other.shadow_mode == *shadow_mode
-            && other.retire_per_cycle == *retire_per_cycle
             && other.taken_jump_penalty == *taken_jump_penalty
-            && other.rollback_penalty == *rollback_penalty
             && other.fault_penalty == *fault_penalty
             && other.max_cycles == *max_cycles
             && other.record_events == *record_events
@@ -324,15 +314,7 @@ mod tests {
                 ..base.clone()
             },
             MachineConfig {
-                retire_per_cycle: 2,
-                ..base.clone()
-            },
-            MachineConfig {
                 taken_jump_penalty: 1,
-                ..base.clone()
-            },
-            MachineConfig {
-                rollback_penalty: 3,
                 ..base.clone()
             },
             MachineConfig {

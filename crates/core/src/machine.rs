@@ -38,6 +38,11 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
+/// Committed stores the buffer retires to the D-cache per cycle.
+const RETIRE_PER_CYCLE: usize = 1;
+/// Pipeline refill cycles charged when recovery rolls back to the RPC.
+const ROLLBACK_PENALTY: u64 = 2;
+
 /// A failed VLIW run.
 #[derive(Clone, PartialEq, Debug)]
 pub enum VliwError {
@@ -749,7 +754,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
             future: candidate,
         };
         self.pc = self.rpc;
-        self.busy_until = self.busy_until.max(self.cycle) + self.cfg.rollback_penalty;
+        self.busy_until = self.busy_until.max(self.cycle) + ROLLBACK_PENALTY;
         self.stats.recoveries += 1;
     }
 
@@ -1337,7 +1342,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
             self.stats.commits += sc;
             self.stats.squashes += ss;
             // 2. Store retire.
-            self.sb.retire(&mut self.memory, self.cfg.retire_per_cycle);
+            self.sb.retire(&mut self.memory, RETIRE_PER_CYCLE);
         }
         // 3. Recovery exit.
         if let Mode::Recovery { epc, ref future } = self.mode {
@@ -1551,7 +1556,7 @@ impl<'p, S: TraceSink> VliwMachine<'p, S> {
         }
         let mut cycles = self.cycle;
         while !self.sb.is_empty() {
-            let n = self.sb.retire(&mut self.memory, self.cfg.retire_per_cycle);
+            let n = self.sb.retire(&mut self.memory, RETIRE_PER_CYCLE);
             if n > 0 {
                 cycles += 1;
             } else if !self.sb.is_empty() {

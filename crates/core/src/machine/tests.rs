@@ -971,7 +971,6 @@ fn store_buffer_full_stalls() {
     let mut cfg = MachineConfig::two_issue();
     cfg.resources.store = 2;
     cfg.store_buffer_size = 2;
-    cfg.retire_per_cycle = 1;
     let res = VliwMachine::run_program(&pr, cfg).unwrap();
     assert!(res.stall_sb_full > 0);
     for (addr, v) in [(8, 1), (9, 2), (10, 3), (11, 4)] {

@@ -287,17 +287,10 @@ fn main() {
                     );
                     let s = &cc.second_pass;
                     eprintln!(
-                        "cache after both passes: {} hit(s), {} miss(es), {} entrie(s), \
-                         {} eviction(s), {} profile run(s)",
-                        s.hits, s.misses, s.entries, s.evictions, s.profile_misses
+                        "cache after both passes: {} hit(s), {} miss(es), \
+                         {} resident artifact(s), {} profile run(s)",
+                        s.hits, s.misses, s.entries, s.profile_misses
                     );
-                    let shards: Vec<String> = s
-                        .shards
-                        .iter()
-                        .enumerate()
-                        .map(|(i, sh)| format!("{i}:{}/{}/{}", sh.hits, sh.misses, sh.entries))
-                        .collect();
-                    eprintln!("cache shards (hits/misses/entries): {}", shards.join(" "));
                     if let Some(rec) = &tel {
                         record_cache_stats(rec, &cc.second_pass);
                     }

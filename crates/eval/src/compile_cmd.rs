@@ -236,20 +236,11 @@ pub fn render_compile(sweep: &CompileSweep) -> String {
     }
     writeln!(
         s,
-        "cache: {} miss(es) ({} distinct artifact(s)), {} hit(s), {} eviction(s), \
+        "cache: {} miss(es) ({} distinct artifact(s)), {} hit(s), \
          {} training profile run(s)",
-        sweep.cache.misses,
-        sweep.cache.entries,
-        sweep.cache.hits,
-        sweep.cache.evictions,
-        sweep.cache.profile_misses
+        sweep.cache.misses, sweep.cache.entries, sweep.cache.hits, sweep.cache.profile_misses
     )
     .unwrap();
-    write!(s, "cache shards (hits/misses/entries):").unwrap();
-    for (i, sh) in sweep.cache.shards.iter().enumerate() {
-        write!(s, " {i}:{}/{}/{}", sh.hits, sh.misses, sh.entries).unwrap();
-    }
-    writeln!(s).unwrap();
     s
 }
 
@@ -272,11 +263,6 @@ mod tests {
         // One scalar training run per workload, shared by all 7 models.
         assert_eq!(sweep.cache.profile_misses, 2);
         assert_eq!(sweep.cache.profile_hits, 2 * (Model::ALL.len() as u64 - 1));
-        // The shard breakdown partitions the totals.
-        let shard_misses: u64 = sweep.cache.shards.iter().map(|s| s.misses).sum();
-        let shard_entries: u64 = sweep.cache.shards.iter().map(|s| s.entries).sum();
-        assert_eq!(shard_misses, sweep.cache.misses);
-        assert_eq!(shard_entries, sweep.cache.entries);
         // Hashes are 16 hex digits and distinct across models of one
         // workload (the model is part of the schedule, hence the hash).
         let grep: Vec<&str> = sweep

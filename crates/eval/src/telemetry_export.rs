@@ -187,52 +187,28 @@ pub fn render_telemetry(report: &TelemetryReport) -> String {
     s
 }
 
-/// Pushes a [`CacheStats`] snapshot into the telemetry counter bank
-/// (totals plus the per-shard breakdown).  Cache counters are
-/// jobs-deterministic — the caches are single-flight and key→shard is a
-/// stable function — so these are plain counters, kept in
-/// `--deterministic` reports.
+/// Pushes a [`CacheStats`] snapshot into the telemetry counter bank.
+/// Cache counters are jobs-deterministic — the caches are single-flight
+/// — so these are plain counters, kept in `--deterministic` reports.
 pub fn record_cache_stats<T: Telemetry>(tel: &T, stats: &CacheStats) {
     if !tel.enabled() {
         return;
     }
     tel.counter("cache.artifact.hits", stats.hits);
     tel.counter("cache.artifact.misses", stats.misses);
-    tel.counter("cache.artifact.evictions", stats.evictions);
     tel.counter("cache.artifact.entries", stats.entries);
     tel.counter("cache.profile.hits", stats.profile_hits);
     tel.counter("cache.profile.misses", stats.profile_misses);
-    for (i, sh) in stats.shards.iter().enumerate() {
-        tel.counter(&format!("cache.artifact.shard{i}.hits"), sh.hits);
-        tel.counter(&format!("cache.artifact.shard{i}.misses"), sh.misses);
-        tel.counter(&format!("cache.artifact.shard{i}.evictions"), sh.evictions);
-        tel.counter(&format!("cache.artifact.shard{i}.entries"), sh.entries);
-    }
 }
 
-/// The `cache` sub-object shared by `repro compile` and the
-/// `--cache-check` report: totals plus the per-shard breakdown.
+/// The `cache` sub-object of the `repro compile` report.
 pub fn cache_stats_json(stats: &CacheStats) -> Json {
-    let shards: Vec<Json> = stats
-        .shards
-        .iter()
-        .map(|sh| {
-            Json::obj(vec![
-                ("hits", sh.hits.to_json()),
-                ("misses", sh.misses.to_json()),
-                ("evictions", sh.evictions.to_json()),
-                ("entries", sh.entries.to_json()),
-            ])
-        })
-        .collect();
     Json::obj(vec![
         ("hits", stats.hits.to_json()),
         ("misses", stats.misses.to_json()),
-        ("evictions", stats.evictions.to_json()),
         ("entries", stats.entries.to_json()),
         ("profile_hits", stats.profile_hits.to_json()),
         ("profile_misses", stats.profile_misses.to_json()),
-        ("shards", Json::Array(shards)),
     ])
 }
 
@@ -313,14 +289,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_reach_counters_with_shard_breakdown() {
-        let mut stats = CacheStats {
+    fn cache_stats_reach_counters_and_json() {
+        let stats = CacheStats {
             hits: 5,
             misses: 2,
+            entries: 2,
             ..CacheStats::default()
         };
-        stats.shards[3].hits = 5;
-        stats.shards[3].misses = 2;
         let rec = Recorder::new(true);
         record_cache_stats(&rec, &stats);
         let rep = rec.report();
@@ -331,11 +306,12 @@ mod tests {
                 .map(|(_, v)| *v)
         };
         assert_eq!(get("cache.artifact.hits"), Some(5));
-        assert_eq!(get("cache.artifact.shard3.misses"), Some(2));
-        assert_eq!(get("cache.artifact.shard0.hits"), Some(0));
+        assert_eq!(get("cache.artifact.misses"), Some(2));
+        assert_eq!(get("cache.artifact.entries"), Some(2));
+        assert_eq!(get("cache.profile.hits"), Some(0));
         let doc = cache_stats_json(&stats);
-        let shards = doc.get("shards").and_then(Json::as_array).unwrap();
-        assert_eq!(shards.len(), psb_compile::SHARD_COUNT);
-        assert_eq!(shards[3].get("hits").and_then(Json::as_i64), Some(5));
+        assert_eq!(doc.get("hits").and_then(Json::as_i64), Some(5));
+        assert_eq!(doc.get("misses").and_then(Json::as_i64), Some(2));
+        assert_eq!(doc.get("entries").and_then(Json::as_i64), Some(2));
     }
 }

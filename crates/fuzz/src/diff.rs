@@ -16,7 +16,6 @@ use psb_core::{CacheConfig, Engine, InvariantSink, MachineConfig, MemoryModel};
 use psb_scalar::ScalarConfig;
 use psb_sched::{Model, SchedConfig};
 use std::fmt;
-use std::sync::Arc;
 
 /// The memory-model rotation shared by the differential suites and the
 /// nightly fuzz sweep: perfect memory, a fixed-latency bus, and small
@@ -48,12 +47,6 @@ pub fn memory_rotation(k: u64) -> MemoryModel {
     }
 }
 
-/// Default artifact-cache capacity for fuzzing.  Bounded (unlike the
-/// experiment sweeps) because a long fuzz run visits millions of distinct
-/// programs; FIFO eviction keeps memory flat while the shrinker's
-/// repeated trials on the *same* mutated program still hit.
-const FUZZ_CACHE_CAPACITY: usize = 512;
-
 /// Configuration of one differential run.
 #[derive(Clone, Debug)]
 pub struct DiffConfig {
@@ -79,10 +72,6 @@ pub struct DiffConfig {
     /// timing-independent, so every model must still match the scalar
     /// golden run.
     pub memory: MemoryModel,
-    /// The artifact cache shared by every case run under this config
-    /// (bounded — see [`DiffConfig::default`]).  Cloning the config
-    /// shares the cache, so parallel sweep workers deduplicate compiles.
-    pub cache: Arc<ArtifactCache>,
 }
 
 impl Default for DiffConfig {
@@ -93,7 +82,6 @@ impl Default for DiffConfig {
             max_cycles: None,
             engine: Engine::default(),
             memory: MemoryModel::Perfect,
-            cache: Arc::new(ArtifactCache::with_capacity(FUZZ_CACHE_CAPACITY)),
         }
     }
 }
@@ -186,6 +174,10 @@ pub fn run_case(case: &FuzzCase, cfg: &DiffConfig) -> Result<CaseStats, FuzzFail
         })
     })?;
 
+    // One cache per case: each model compiles a distinct request and no
+    // two generated cases share a program.  A shrink trial that repeats a
+    // candidate recompiles it; shrunk programs are small.
+    let cache = ArtifactCache::new();
     let mut stats = CaseStats::default();
     for &model in &cfg.models {
         let failure = |e: PointError| match e {
@@ -198,7 +190,7 @@ pub fn run_case(case: &FuzzCase, cfg: &DiffConfig) -> Result<CaseStats, FuzzFail
             PointError::Diverged(detail) => FuzzFailure::Diverged { model, detail },
         };
         let (art, _) = job
-            .compile(SchedConfig::new(model), &cfg.cache, None, &NullTelemetry)
+            .compile(SchedConfig::new(model), &cache, None, &NullTelemetry)
             .map_err(failure)?;
         let mcfg = MachineConfig {
             defer_recovery_exit_commit: cfg.inject_recovery_bug,
@@ -245,12 +237,6 @@ mod tests {
         assert!(
             recoveries > 0,
             "no recovery episode in 30 seeds: generator too tame"
-        );
-        let cs = cfg.cache.stats();
-        assert_eq!(
-            cs.misses,
-            30 * Model::ALL.len() as u64,
-            "every (case, model) point is a distinct compile"
         );
     }
 

@@ -357,7 +357,6 @@ fn store_buffer_full_and_unspecified_jump_are_engine_independent() {
     );
     let mut small_buffer = MachineConfig {
         store_buffer_size: 2,
-        retire_per_cycle: 1,
         ..MachineConfig::two_issue()
     };
     small_buffer.resources.store = 2;

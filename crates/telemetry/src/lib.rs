@@ -2,7 +2,7 @@
 //!
 //! The guest machine got its instrumentation architecture in PR 2
 //! (`TraceSink` / `CountersSink`); this crate gives the *host* layers —
-//! the compile stage graph, the sharded artifact cache, and the
+//! the compile stage graph, the single-flight artifact cache, and the
 //! `parallel_map` worker pool — the same treatment:
 //!
 //! - **Spans** ([`Telemetry::span`]): RAII enter/exit guards stamped
