@@ -374,15 +374,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so slicing
-                // at char boundaries is safe).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| JsonError {
+                // Copy the whole run up to the next quote or backslash,
+                // validating it once.  Both delimiters are ASCII, so the
+                // run ends on a char boundary.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&b[*pos..end]).map_err(|_| JsonError {
                     offset: *pos,
                     kind: JsonErrorKind::InvalidUtf8,
                 })?;
-                let c = rest.chars().next().unwrap();
-                s.push(c);
-                *pos += c.len_utf8();
+                s.push_str(run);
+                *pos = end;
             }
         }
     }

@@ -113,6 +113,15 @@ fn record_response(
     }
 }
 
+/// Opens a client connection with Nagle's algorithm off: a request is
+/// two writes (head, then body), and with Nagle on the body waits for
+/// the server's delayed ACK of the head.
+fn connect(addr: &str) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
 /// One client's connection, lazily (re)established.
 struct Client {
     addr: String,
@@ -129,7 +138,7 @@ impl Client {
 
     fn post_run(&mut self, body: &[u8]) -> Result<(u16, Vec<u8>), HttpError> {
         if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
+            let stream = connect(&self.addr)?;
             let reader = BufReader::new(stream.try_clone()?);
             self.conn = Some((reader, stream));
         }
@@ -143,7 +152,7 @@ impl Client {
                 // Keep-alive connections can die between requests (server
                 // restart, timeout); retry once on a fresh connection.
                 self.conn = None;
-                let stream = TcpStream::connect(&self.addr)?;
+                let stream = connect(&self.addr)?;
                 let mut reader = BufReader::new(stream.try_clone()?);
                 let mut stream = stream;
                 write_request(&mut stream, "POST", "/run", body)?;
@@ -170,7 +179,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<Json, String> {
     // not a /run: it must not perturb the server's cache state or the
     // warm-phase compiled counts.
     {
-        let stream = TcpStream::connect(&config.addr)
+        let stream = connect(&config.addr)
             .map_err(|e| format!("server unreachable at {}: {e}", config.addr))?;
         let mut reader = BufReader::new(
             stream
@@ -195,6 +204,9 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<Json, String> {
         let r = warm_client.post_run(body);
         record_response(&warm_tally, r, t0.elapsed().as_nanos() as u64);
     }
+    // Close the warm connection now: left idle, it would hold a server
+    // worker until the read timeout while the mix phase waits for one.
+    drop(warm_client);
 
     // Phase 2: the seeded mix, closed-loop over `jobs` clients.
     let mix_tally = Mutex::new(Tally::default());

@@ -346,6 +346,10 @@ fn accept_loop(listener: &TcpListener, state: &ServerState) {
             Ok((s, _)) => s,
             Err(_) => continue,
         };
+        // Every response goes out as two writes (head, then body).  With
+        // Nagle on, the body waits for the head's ACK, which a client
+        // that sent nothing more delays by up to 40 ms.
+        let _ = stream.set_nodelay(true);
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }

@@ -1,7 +1,8 @@
 //! Property suite for the shared JSON module: `parse` is the exact
 //! inverse of `pretty` over every value the printer can emit, and a
 //! malformed document always yields a typed [`JsonError`] whose offset
-//! points into the input — never a panic.
+//! points into the input — never a panic.  A string as long as the
+//! largest request body parses in linear time.
 
 use proptest::prelude::*;
 use proptest::strategy::fn_strategy;
@@ -171,4 +172,30 @@ fn typed_errors_carry_the_right_kind_and_offset() {
         );
         assert!(err.offset <= text.len(), "{text}");
     }
+}
+
+#[test]
+fn a_string_as_long_as_the_largest_body_parses_in_linear_time() {
+    // A request body may carry one string of up to `MAX_BODY_BYTES`
+    // characters.  Parsing must stay linear in its length: a parser that
+    // re-validated the rest of the input per character held a worker for
+    // tens of seconds on one such body.
+    use psb_serve::http::MAX_BODY_BYTES;
+    let expected: String = (0..MAX_BODY_BYTES)
+        .map(|i| match i % 1000 {
+            999 => '"',
+            n if n % 3 == 0 => 'é',
+            _ => 'a',
+        })
+        .collect();
+    let text = Json::Str(expected.clone()).pretty();
+    let started = std::time::Instant::now();
+    let parsed = Json::parse(&text).expect("a long string parses");
+    let elapsed = started.elapsed();
+    assert_eq!(parsed, Json::Str(expected));
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "parsing a {}-byte string took {elapsed:?}",
+        text.len()
+    );
 }

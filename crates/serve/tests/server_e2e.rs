@@ -2,17 +2,18 @@
 //! mixed-workload status-code contract (cold, hot, over-budget,
 //! malformed, unknown routes), byte-stable deterministic response
 //! bodies at any `--jobs`, exact cache hit/miss accounting on
-//! `/metrics`, admission-queue rejection, and the disk-store restart
-//! path.
+//! `/metrics`, admission-queue rejection, the disk-store restart path,
+//! and keep-alive latency from both the server's and the load
+//! generator's side of a connection.
 
 use psb_serve::http::{read_response, write_request, Response};
 use psb_serve::json::Json;
-use psb_serve::{serve, ServeConfig, ServeHandle};
+use psb_serve::{run_loadgen, serve, LoadgenConfig, ServeConfig, ServeHandle};
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -31,7 +32,7 @@ fn boot(config: ServeConfig) -> ServeHandle {
 }
 
 /// One request over a fresh connection (simplest for tests; keep-alive
-/// reuse is covered by the loadgen client).
+/// reuse is covered by the two delayed-ACK tests at the end).
 fn call(handle: &ServeHandle, method: &str, target: &str, body: &[u8]) -> Response {
     let stream = TcpStream::connect(handle.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -422,4 +423,59 @@ fn disk_store_survives_a_server_restart() {
     assert_eq!(counter(&metrics, "serve.cache.disk_hits"), 1);
     assert_eq!(counter(&metrics, "serve.cache.compiles"), 0);
     second.shutdown();
+}
+
+#[test]
+fn keep_alive_responses_are_not_held_for_a_delayed_ack() {
+    // A response is two writes, head then body.  If the server left
+    // Nagle's algorithm on, the body would wait for the client's ACK of
+    // the head, which the client delays by up to 40 ms when it has
+    // nothing to send: about 40 ms per request on a kept-alive
+    // connection.  Nagle stays on at this client, as at any client that
+    // never sets TCP_NODELAY.
+    let handle = boot(ServeConfig::default());
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut stream = stream;
+    let started = Instant::now();
+    for i in 0..20 {
+        write_request(&mut stream, "GET", "/healthz", b"").expect("send");
+        let resp = read_response(&mut reader).expect("response");
+        assert_eq!(resp.status, 200, "request {i}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(400),
+        "20 keep-alive requests took {elapsed:?}"
+    );
+    // The only worker is still reading this connection; close it so
+    // that shutdown need not wait out the read timeout.
+    drop((reader, stream));
+    handle.shutdown();
+}
+
+#[test]
+fn loadgen_requests_are_not_held_for_a_delayed_ack() {
+    // The load generator's requests are two writes as well, so its own
+    // connections must not hold a body for the server's delayed ACK; and
+    // its warm-phase connection must be closed before the mix phase, or
+    // it holds this single worker until the read timeout.
+    let handle = boot(ServeConfig::default());
+    let report = run_loadgen(&LoadgenConfig {
+        addr: handle.addr().to_string(),
+        requests: 40,
+        jobs: 1,
+        deterministic: false,
+        ..LoadgenConfig::default()
+    })
+    .expect("loadgen runs");
+    assert_eq!(report.get("failed").and_then(Json::as_i64), Some(0));
+    let p99 = report
+        .get("mix")
+        .and_then(|m| m.get("latency_s"))
+        .and_then(|l| l.get("p99"))
+        .and_then(Json::as_f64)
+        .expect("mix p99");
+    assert!(p99 <= 0.02, "mix p99 {p99} s");
+    handle.shutdown();
 }
